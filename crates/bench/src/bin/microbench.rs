@@ -1,8 +1,8 @@
 //! Hot-path micro-benchmark driver (BENCH_7).
 //!
 //! Prints a component table (select / commit per-op cost, `ReachIndex`
-//! probe throughput, word-vs-scalar extremum kernels, arena
-//! `reset_to`-vs-clone, portfolio wall with and without run reuse),
+//! probe throughput, word-vs-scalar `any_le` row probe, arena
+//! `reset_to`-vs-clone, portfolio wall),
 //! re-runs the single-threaded `schedule_all` sweep, and emits
 //! `BENCH_7.json` next to the baseline constants measured at the
 //! pre-PR commit.
@@ -71,15 +71,7 @@ fn main() {
     println!("  pair probe    : {pp_mops:8.1} Mops/s ({:.1} ns)", pp.min_ns);
     println!("  set probe     : {sp_mops:8.1} Mops/s ({:.1} ns)", sp.min_ns);
     let k = bench_kernels(probe_ops);
-    println!("== min_into kernels ({} lanes/row) ==", k.lanes);
-    println!(
-        "  converged     : {:8.3} ns/lane word vs {:.3} scalar",
-        k.word_converged_ns, k.scalar_converged_ns
-    );
-    println!(
-        "  churning      : {:8.3} ns/lane word vs {:.3} scalar",
-        k.word_churn_ns, k.scalar_churn_ns
-    );
+    println!("== row kernels ({} lanes/row) ==", k.lanes);
     println!(
         "  any_le (false): {:8.3} ns/lane word vs {:.3} scalar",
         k.any_le_word_ns, k.any_le_scalar_ns
@@ -92,9 +84,8 @@ fn main() {
 
     let (pf_ops, pf_threads, pf_reps) = if quick { (300, 2, 1) } else { (2000, 4, 2) };
     println!("== portfolio wall ({pf_ops} ops, {pf_threads} threads) ==");
-    let (pf_arena_us, pf_clone_us) = bench_portfolio_wall(pf_ops, pf_threads, pf_reps);
-    println!("  arena reuse   : {:8} us", pf_arena_us);
-    println!("  clone-per-run : {:8} us", pf_clone_us);
+    let pf_us = bench_portfolio_wall(pf_ops, pf_threads, pf_reps);
+    println!("  wall          : {:8} us", pf_us);
 
     println!("== single-threaded schedule_all sweep ==");
     let points = scaling_sweep(&wall_sizes, 0);
@@ -119,7 +110,7 @@ fn main() {
     let _ = writeln!(json, "  \"pr\": 9,");
     let _ = writeln!(
         json,
-        "  \"subject\": \"hot-path micro-benchmarks: select/commit per-op cost, ReachIndex probe throughput, word-parallel extremum kernels, arena reuse, portfolio wall\","
+        "  \"subject\": \"hot-path micro-benchmarks: select/commit per-op cost, ReachIndex probe throughput, word-parallel any_le probe, arena reuse, portfolio wall\","
     );
     let _ = writeln!(
         json,
@@ -140,18 +131,12 @@ fn main() {
     let _ = writeln!(json, "  \"set_probe_mops\": {sp_mops:.2},");
     let _ = writeln!(
         json,
-        "  \"kernel_min_into\": {{\"lanes\": {}, \"word_converged_ns_per_lane\": {:.3}, \"scalar_converged_ns_per_lane\": {:.3}, \"word_churn_ns_per_lane\": {:.3}, \"scalar_churn_ns_per_lane\": {:.3}}},",
-        k.lanes, k.word_converged_ns, k.scalar_converged_ns, k.word_churn_ns, k.scalar_churn_ns
-    );
-    let _ = writeln!(
-        json,
-        "  \"kernel_any_le\": {{\"word_ns_per_lane\": {:.3}, \"scalar_ns_per_lane\": {:.3}}},",
-        k.any_le_word_ns, k.any_le_scalar_ns
+        "  \"kernel_any_le\": {{\"lanes\": {}, \"word_ns_per_lane\": {:.3}, \"scalar_ns_per_lane\": {:.3}}},",
+        k.lanes, k.any_le_word_ns, k.any_le_scalar_ns
     );
     let _ = writeln!(json, "  \"arena_reset_us\": {:.1},", reset.min_ns / 1e3);
     let _ = writeln!(json, "  \"template_clone_us\": {:.1},", clone.min_ns / 1e3);
-    let _ = writeln!(json, "  \"portfolio_wall_arena_us\": {pf_arena_us},");
-    let _ = writeln!(json, "  \"portfolio_wall_clone_us\": {pf_clone_us},");
+    let _ = writeln!(json, "  \"portfolio_wall_arena_us\": {pf_us},");
     json.push_str("  \"sweep\": [\n");
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 == points.len() { "" } else { "," };
@@ -168,7 +153,7 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "  \"notes\": \"The 150 ms 100k-op target is not met on this host (best observed ~310 ms vs the 344 ms pre-PR baseline, ~10 % faster); the remaining wall is split roughly evenly between the window scan and the sdist cascade, both memory-bound here. Probe throughput clears its 5 Mops target by >10x. Kernel split: the early-exit any_le walk is where word-parallelism pays (~2x over the scalar loop, per-probe hot path); for the build-time min/max row merges LLVM's autovectorized simple loop beats the 4-lane word walk on x86_64 — recorded here, acceptable because index build is a one-time cost. Portfolio wall: arena reuse is wall-neutral at this scale (the pristine-template clone it replaces costs ~5 us against multi-ms runs); its benefit is zero steady-state allocation per checkout, not wall time. See EXPERIMENTS.md (BENCH_7).\""
+        "  \"notes\": \"The 150 ms 100k-op target is not met on this host (best observed ~310 ms vs the 344 ms baseline at commit 8582b1c, ~10 % faster); the remaining wall is split roughly evenly between the window scan and the sdist cascade, both memory-bound here. Probe throughput clears its 5 Mops target by >10x. Kernels: the early-exit any_le walk is where word-parallelism pays (~2x over the scalar loop, per-probe hot path); the min/max row merges are a branch-free scalar loop, which LLVM autovectorizes. Portfolio wall: arena reuse measured wall-neutral against clone-per-run (the pristine-template clone it replaces costs ~5 us against multi-ms runs); its benefit is zero steady-state allocation per checkout, not wall time. See EXPERIMENTS.md (BENCH_7).\""
     );
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("writing the bench JSON must succeed");

@@ -21,8 +21,8 @@
 //!   column of the scaling study;
 //! * [`microbench`] — hot-path micro-benchmarks (BENCH_7): `select`
 //!   and `commit` per-op cost, `ReachIndex` probe throughput, the
-//!   word-parallel extremum kernels vs their scalar oracles, and the
-//!   arena `reset_to`-vs-clone and portfolio-wall comparisons;
+//!   word-parallel `any_le` probe vs its scalar oracle, the arena
+//!   `reset_to`-vs-clone comparison and the portfolio wall;
 //! * [`serve_load`] — the daemon load study (BENCH_5): open-loop
 //!   throughput and p50/p99 at 0.5×/1×/2× estimated capacity,
 //!   shed-rate under overload, and the schedule-cache hit/ECO-replay

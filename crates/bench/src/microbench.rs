@@ -13,13 +13,12 @@
 //!   mid-run on a layered DAG state;
 //! * [`bench_probes`] — `ReachIndex` pair probes (`reaches`), set
 //!   probes (`set_reaches`/`set_reached_by` against a live
-//!   [`ChainExtrema`]), and the word-parallel extremum-row kernels vs
-//!   their scalar oracles;
+//!   [`ChainExtrema`]), and the word-parallel `any_le` row probe vs
+//!   its scalar oracle;
 //! * [`bench_arena`] — `ThreadedScheduler::reset_to` vs
 //!   `template.clone()` on a grown state, the allocation cost the
 //!   portfolio arena removes from every run after a worker's first;
-//! * [`bench_portfolio_wall`] — an end-to-end portfolio race, arena
-//!   reuse vs the `HLS_PORTFOLIO_NO_ARENA` clone-per-run baseline.
+//! * [`bench_portfolio_wall`] — an end-to-end portfolio race.
 //!
 //! `bin/microbench.rs` drives these, prints a table, emits
 //! `BENCH_7.json`, and in `--check` mode gates CI on the 100k-op
@@ -213,22 +212,11 @@ pub fn bench_probes(ops: usize) -> (Sample, Sample) {
     (pair, set)
 }
 
-/// Word-vs-scalar `min_into` at the chain width of a `ops`-op index,
-/// per-lane nanoseconds in both regimes the row merges actually see.
+/// Word-vs-scalar `any_le` at the chain width of a `ops`-op index.
 #[derive(Clone, Debug)]
 pub struct KernelReport {
     /// Row width (lanes) the kernels were measured at.
     pub lanes: usize,
-    /// Converged rows (`dst` already ≤ `src` everywhere): the common
-    /// case once propagation is about to self-limit. Per-lane ns.
-    pub word_converged_ns: f64,
-    /// Converged rows through the scalar oracle.
-    pub scalar_converged_ns: f64,
-    /// Churning rows (every other lane shrinks each call): the front
-    /// of a propagation wave. Per-lane ns, restore cost subtracted.
-    pub word_churn_ns: f64,
-    /// Churning rows through the scalar oracle.
-    pub scalar_churn_ns: f64,
     /// `any_le` on all-false rows (the full-walk worst case every
     /// "no" probe pays) — the word walk. Per-lane ns.
     pub any_le_word_ns: f64,
@@ -236,61 +224,17 @@ pub struct KernelReport {
     pub any_le_scalar_ns: f64,
 }
 
-/// Measures [`KernelReport`] — both kernels, both regimes.
+/// Measures [`KernelReport`].
 pub fn bench_kernels(ops: usize) -> KernelReport {
     let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
     let reach = ReachIndex::try_build(&g).expect("fits the chain budget");
     let lanes = reach.chain_count();
     let lf = lanes as f64;
 
-    // Converged: dst is already the elementwise min, nothing changes.
-    let src: Vec<u16> = (0..lanes).map(|i| (i as u16).wrapping_mul(7)).collect();
-    let mut dst: Vec<u16> = src.iter().map(|&s| s.saturating_sub(1)).collect();
-    let word_conv = {
-        let s = time_fn("min_into_word_converged", 200_000, 5, || {
-            black_box(kernels::min_into(&mut dst, &src));
-        });
-        s.min_ns / lf
-    };
-    let mut dst2 = dst.clone();
-    let scalar_conv = {
-        let s = time_fn("min_into_scalar_converged", 200_000, 5, || {
-            black_box(kernels::min_into_scalar(&mut dst2, &src));
-        });
-        s.min_ns / lf
-    };
-
-    // Churn: restore dst each call, then merge a src that shrinks
-    // every other lane — the data-dependent-branch case. The restore
-    // cost is measured alone and subtracted.
-    let pristine: Vec<u16> = vec![0x7FFF; lanes];
-    let shrink: Vec<u16> = (0..lanes)
-        .map(|i| if i % 2 == 0 { i as u16 } else { u16::MAX })
-        .collect();
-    let mut dst3 = pristine.clone();
-    let restore = time_fn("row_restore", 200_000, 5, || {
-        dst3.copy_from_slice(black_box(&pristine));
-        black_box(&mut dst3);
-    });
-    let word_churn = {
-        let s = time_fn("min_into_word_churn", 200_000, 5, || {
-            dst3.copy_from_slice(black_box(&pristine));
-            black_box(kernels::min_into(&mut dst3, &shrink));
-        });
-        ((s.min_ns - restore.min_ns) / lf).max(0.0)
-    };
-    let scalar_churn = {
-        let s = time_fn("min_into_scalar_churn", 200_000, 5, || {
-            dst3.copy_from_slice(black_box(&pristine));
-            black_box(kernels::min_into_scalar(&mut dst3, &shrink));
-        });
-        ((s.min_ns - restore.min_ns) / lf).max(0.0)
-    };
-
-    // any_le worst case: every lane answers "no", the whole row is
-    // walked — the shape a failed set probe pays. An early-exit loop
-    // defeats autovectorization, so this is where the 4-lane word
-    // walk earns its keep.
+    // Worst case: every lane answers "no", the whole row is walked —
+    // the shape a failed set probe pays. An early-exit loop defeats
+    // autovectorization, so this is where the 4-lane word walk earns
+    // its keep.
     let hi: Vec<u16> = vec![1000; lanes];
     let lo: Vec<u16> = vec![1; lanes];
     let any_word = {
@@ -308,10 +252,6 @@ pub fn bench_kernels(ops: usize) -> KernelReport {
 
     KernelReport {
         lanes,
-        word_converged_ns: word_conv,
-        scalar_converged_ns: scalar_conv,
-        word_churn_ns: word_churn,
-        scalar_churn_ns: scalar_churn,
         any_le_word_ns: any_word,
         any_le_scalar_ns: any_scalar,
     }
@@ -344,42 +284,24 @@ pub fn bench_arena(ops: usize) -> (Sample, Sample) {
     (reset, clone)
 }
 
-/// End-to-end portfolio wall on a `ops`-op layered DAG, arena reuse
-/// vs the clone-per-run baseline (`HLS_PORTFOLIO_NO_ARENA`), in
-/// microseconds. Runs each variant `repeats` times and keeps the
-/// minimum. The race result is identical either way — asserted here.
-pub fn bench_portfolio_wall(ops: usize, threads: usize, repeats: usize) -> (u128, u128) {
+/// End-to-end portfolio wall on a `ops`-op layered DAG, in
+/// microseconds: the minimum over `repeats` runs.
+pub fn bench_portfolio_wall(ops: usize, threads: usize, repeats: usize) -> u128 {
     let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
     let resources = ResourceSet::classic(2, 2);
     let cfg = hls_search::portfolio::PortfolioConfig {
         threads,
         ..Default::default()
     };
-    let run = |label: &str| -> (u128, u64) {
-        let mut best_us = u128::MAX;
-        let mut diameter = 0;
-        for _ in 0..repeats {
+    (0..repeats)
+        .map(|_| {
             let t0 = Instant::now();
-            let out = hls_search::portfolio::run_portfolio(&g, &resources, &cfg)
-                .unwrap_or_else(|e| panic!("portfolio ({label}) must complete: {e}"));
-            best_us = best_us.min(t0.elapsed().as_micros());
-            diameter = out.diameter;
-        }
-        (best_us, diameter)
-    };
-    // SAFETY-free env dance: the knob is read per checkout, and the
-    // portfolio threads of one variant are joined before the next
-    // variant starts, so the two variants never overlap.
-    std::env::remove_var("HLS_PORTFOLIO_NO_ARENA");
-    let (arena_us, d_arena) = run("arena");
-    std::env::set_var("HLS_PORTFOLIO_NO_ARENA", "1");
-    let (clone_us, d_clone) = run("clone-per-run");
-    std::env::remove_var("HLS_PORTFOLIO_NO_ARENA");
-    assert_eq!(
-        d_arena, d_clone,
-        "arena reuse must not change the race result"
-    );
-    (arena_us, clone_us)
+            hls_search::portfolio::run_portfolio(&g, &resources, &cfg)
+                .unwrap_or_else(|e| panic!("portfolio must complete: {e}"));
+            t0.elapsed().as_micros()
+        })
+        .min()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -401,12 +323,5 @@ mod tests {
         let st = mid_run_state(400, 200);
         assert_eq!(st.ts.scheduled_count(), 200);
         assert_eq!(st.pending.len(), 200);
-    }
-
-    #[test]
-    fn portfolio_wall_variants_agree_on_the_result() {
-        // Smoke-sized: the assertion inside is the point.
-        let (arena, clone) = bench_portfolio_wall(300, 2, 1);
-        assert!(arena > 0 && clone > 0);
     }
 }

@@ -53,6 +53,8 @@ pub mod exhaustive;
 pub mod meta;
 pub mod modulo;
 pub mod parallel;
+#[doc(hidden)]
+pub mod pool;
 pub mod reference;
 pub mod refine;
 pub mod soft;
@@ -68,19 +70,6 @@ pub use threaded::{Placement, RunOutcome, ThreadedScheduler};
 use hls_ir::{IrError, OpId, OpKind};
 use std::error::Error;
 use std::fmt;
-
-/// Renders a `catch_unwind` payload as text for
-/// [`SchedError::Poisoned`] — panics carry `&str` or `String`
-/// payloads in practice; anything else gets a generic tag.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
 
 /// Errors produced by the soft schedulers.
 #[derive(Clone, PartialEq, Eq, Debug)]

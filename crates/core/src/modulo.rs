@@ -288,7 +288,7 @@ impl ModuloScheduler {
         }));
         match attempt {
             Ok(result) => result,
-            Err(payload) => Err(SchedError::Poisoned(crate::panic_message(payload.as_ref()))),
+            Err(payload) => Err(SchedError::Poisoned(hls_ir::panic_message(payload.as_ref()))),
         }
     }
 

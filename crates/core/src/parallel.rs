@@ -9,15 +9,16 @@
 //! 1. **Partition.** [`hls_ir::partition`] splits the behavior into
 //!    balanced blocks whose quotient is acyclic and topologically
 //!    numbered (every edge goes to an equal-or-higher block).
-//! 2. **Block scheduling.** Scoped worker threads claim blocks and run
-//!    the ordinary [`ThreadedScheduler`] on each induced subgraph with
-//!    the *full* resource set — each block time-slices the same
+//! 2. **Block scheduling.** Each block is one job of the workspace
+//!    worker pool ([`crate::pool`]), which runs the ordinary
+//!    [`ThreadedScheduler`] on the block's induced subgraph with the
+//!    *full* resource set — each block time-slices the same
 //!    functional units, so per-unit chains concatenate across blocks.
-//!    Workers share an atomic per-unit-set reservation ledger: each
-//!    committed block deposits its delay-sums and folds the implied
-//!    work floor `⌈ΣW_U / |U|⌉` into a certified lower bound on any
-//!    complete schedule, the partition-parallel analogue of the
-//!    portfolio's packed atomic incumbent.
+//!    A job runs inside a fault-injection run scope `block <b>`, and a
+//!    poisoned block leaves the pool's post-mortem. As blocks commit,
+//!    each deposits its delay-sums into a per-unit-set reservation
+//!    ledger and folds the implied work floor `⌈ΣW_U / |U|⌉` into a
+//!    certified lower bound on any complete schedule.
 //! 3. **Stitch.** Per-unit chains are concatenated in block (quotient
 //!    topological) order, and the cut edges are spliced back: one
 //!    linear longest-path pass over the combined threaded graph
@@ -48,13 +49,12 @@
 //! on partition-parallel results exactly as on sequential ones.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hls_ir::partition::{self, Partition, PartitionConfig};
 use hls_ir::{HardSchedule, OpId, PrecedenceGraph, ResourceClass, ResourceSet};
 
 use crate::meta::MetaSchedule;
+use crate::pool::Pool;
 use crate::threaded::{Placement, ThreadedScheduler};
 use crate::SchedError;
 
@@ -101,7 +101,7 @@ pub struct ParallelRun {
     /// Stitched state diameter (`max` finish time).
     pub diameter: u64,
     /// Certified lower bound on any complete schedule of this graph:
-    /// `max` of the atomic reservation ledger's per-unit-set work
+    /// `max` of the reservation ledger's per-unit-set work
     /// floors and the behavior critical path. Always `<= diameter`.
     pub lower_bound: u64,
     /// Per-unit chains of the stitched state, in execution order.
@@ -179,9 +179,9 @@ impl ParallelScheduler {
     ///
     /// # Errors
     ///
-    /// Propagates the first block's [`SchedError`]; a panicking worker
-    /// surfaces as [`SchedError::Poisoned`] (the panic does not cross
-    /// this boundary).
+    /// Propagates the lowest-numbered failing block's [`SchedError`]; a
+    /// panicking block surfaces as [`SchedError::Poisoned`] (the panic
+    /// does not cross this boundary).
     pub fn run(&self) -> Result<ParallelRun, SchedError> {
         if self.g.len() <= self.cfg.sequential_cutoff {
             return self.run_sequential();
@@ -214,10 +214,9 @@ impl ParallelScheduler {
         })
     }
 
-    /// Schedules every block on `cfg.workers` scoped threads sharing
-    /// the atomic reservation ledger. Returns the block outputs plus
-    /// the ledger's folded work floor (order-independent, so it is
-    /// deterministic across worker counts).
+    /// Schedules every block on the worker pool (`cfg.workers` workers)
+    /// and feeds the reservation ledger as blocks commit. Returns the
+    /// block outputs plus the ledger's folded work floor.
     fn schedule_blocks(
         &self,
         blocks: &[Vec<OpId>],
@@ -250,76 +249,49 @@ impl ParallelScheduler {
                 .push(group_of(self.g.kind(v), &self.resources).map_or(u32::MAX, |g| g as u32));
         }
 
-        let ledger: Vec<AtomicU64> = group_units.iter().map(|_| AtomicU64::new(0)).collect();
-        let floor = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let outs: Mutex<Vec<Option<BlockOut>>> = Mutex::new((0..blocks.len()).map(|_| None).collect());
-        let failure: Mutex<Option<SchedError>> = Mutex::new(None);
-
-        let worker = || {
-            // Reusable global → local id map, cleared between blocks.
-            let mut local_of: Vec<u32> = vec![u32::MAX; self.g.len()];
-            loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= blocks.len() || failure.lock().unwrap().is_some() {
-                    break;
-                }
-                let job = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.schedule_block(&blocks[b], &mut local_of)
-                }));
-                let result = match job {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        Err(SchedError::Poisoned(crate::panic_message(payload.as_ref())))
-                    }
-                };
-                match result {
-                    Ok(out) => {
-                        // Deposit this block's work into the shared
-                        // reservation ledger and fold the implied floor.
-                        for &v in &blocks[b] {
-                            let gid = op_group[v.index()];
-                            if gid == u32::MAX {
-                                continue;
-                            }
-                            let w = self.g.delay(v);
-                            if w == 0 {
-                                continue;
-                            }
-                            let total =
-                                ledger[gid as usize].fetch_add(w, Ordering::Relaxed) + w;
-                            let bound = total.div_ceil(group_units[gid as usize]);
-                            floor.fetch_max(bound, Ordering::Relaxed);
-                        }
-                        outs.lock().unwrap()[b] = Some(out);
-                    }
-                    Err(e) => {
-                        failure.lock().unwrap().get_or_insert(e);
-                    }
-                }
-            }
+        // The reservation ledger: delay-sums per group, deposited as
+        // blocks commit. The floor it folds is order-independent, so it
+        // is deterministic across worker counts.
+        let mut ledger: Vec<u64> = vec![0; group_units.len()];
+        let mut floor = 0u64;
+        let mut outs: Vec<Option<BlockOut>> = (0..blocks.len()).map(|_| None).collect();
+        let mut errs: Vec<Option<SchedError>> = vec![None; blocks.len()];
+        let tags: Vec<String> = (0..blocks.len()).map(|b| format!("block {b}")).collect();
+        let pool = Pool {
+            workers: self.cfg.workers.clamp(1, blocks.len().max(1)),
+            phase: hls_obs::Phase::ParallelBlocks,
         };
-
-        let workers = self.cfg.workers.clamp(1, blocks.len().max(1));
-        if workers <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(worker);
+        pool.run(
+            &tags,
+            // Reusable global → local id map, clean between blocks.
+            || vec![u32::MAX; self.g.len()],
+            |local_of, b| self.schedule_block(&blocks[b], local_of),
+            |b, result| match result {
+                Ok(out) => {
+                    for &v in &blocks[b] {
+                        let gid = op_group[v.index()];
+                        if gid == u32::MAX {
+                            continue;
+                        }
+                        let total = &mut ledger[gid as usize];
+                        *total += self.g.delay(v);
+                        floor = floor.max(total.div_ceil(group_units[gid as usize]));
+                    }
+                    outs[b] = Some(out);
                 }
-            });
-        }
+                Err(e) => errs[b] = Some(e),
+            },
+        );
 
-        if let Some(e) = failure.lock().unwrap().take() {
+        // The lowest-index failure: deterministic across worker counts.
+        if let Some(e) = errs.into_iter().flatten().next() {
             return Err(e);
         }
-        let outs = outs.into_inner().unwrap();
-        let mut done = Vec::with_capacity(outs.len());
-        for (b, o) in outs.into_iter().enumerate() {
-            done.push(o.unwrap_or_else(|| panic!("block {b} finished without a result")));
-        }
-        Ok((done, floor.load(Ordering::Relaxed)))
+        let done = outs
+            .into_iter()
+            .map(|o| o.expect("every block reports exactly once"))
+            .collect();
+        Ok((done, floor))
     }
 
     /// Schedules one block's induced subgraph with the ordinary
@@ -330,28 +302,27 @@ impl ParallelScheduler {
             local_of[v.index()] = i as u32;
             sub.add_op(self.g.kind(v), self.g.delay(v), self.g.label(v));
         }
+        let edges = ops.iter().try_for_each(|&v| {
+            self.g.succs(v).iter().try_for_each(|&s| match local_of[s.index()] {
+                u32::MAX => Ok(()),
+                t => sub.add_edge(
+                    OpId::from_index(local_of[v.index()] as usize),
+                    OpId::from_index(t as usize),
+                ),
+            })
+        });
+        // Clear the map before anything can fail: the worker reuses it.
         for &v in ops {
-            for &s in self.g.succs(v) {
-                let t = local_of[s.index()];
-                if t != u32::MAX {
-                    sub.add_edge(
-                        OpId::from_index(local_of[v.index()] as usize),
-                        OpId::from_index(t as usize),
-                    )?;
-                }
-            }
+            local_of[v.index()] = u32::MAX;
         }
+        edges?;
         let order = self.cfg.meta.order(&sub, &self.resources)?;
         let mut ts = ThreadedScheduler::new(sub, self.resources.clone())?;
         ts.schedule_all(order)?;
         let unit_chains = (0..self.resources.k())
             .map(|k| ts.chain(k).into_iter().map(|l| ops[l.index()]).collect())
             .collect();
-        let out = BlockOut { unit_chains, diameter: ts.diameter() };
-        for &v in ops {
-            local_of[v.index()] = u32::MAX;
-        }
-        Ok(out)
+        Ok(BlockOut { unit_chains, diameter: ts.diameter() })
     }
 
     /// The stitch pass: concatenates per-unit chains in block order and

@@ -553,7 +553,7 @@ impl ThreadedScheduler {
         match attempt {
             Ok(result) => result,
             Err(payload) => {
-                let msg = crate::panic_message(payload.as_ref());
+                let msg = hls_ir::panic_message(payload.as_ref());
                 self.poisoned = Some(msg.clone());
                 Err(SchedError::Poisoned(msg))
             }

@@ -261,7 +261,7 @@ pub fn run_flow_dfg(text: &str, config: &FlowConfig) -> Result<FlowOutcome, Flow
 pub fn run_flow(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_flow_inner(graph, config)))
         .unwrap_or_else(|payload| {
-            Err(FlowError::Poisoned(threaded_sched::panic_message(
+            Err(FlowError::Poisoned(hls_ir::panic_message(
                 payload.as_ref(),
             )))
         })
@@ -331,7 +331,7 @@ pub fn eco_flow(
         eco_flow_inner(base, target, config, budget)
     }))
     .unwrap_or_else(|payload| {
-        Err(FlowError::Poisoned(threaded_sched::panic_message(
+        Err(FlowError::Poisoned(hls_ir::panic_message(
             payload.as_ref(),
         )))
     })

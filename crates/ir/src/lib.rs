@@ -64,6 +64,19 @@ pub use schedule::{HardSchedule, ModuloError, ModuloSchedule, ScheduleError};
 use std::error::Error;
 use std::fmt;
 
+/// Renders a `catch_unwind` payload as text — panics carry `&str` or
+/// `String` payloads in practice; anything else gets a generic tag.
+/// Every panic boundary in the workspace reports through this.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// Errors produced by IR construction and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IrError {

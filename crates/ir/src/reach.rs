@@ -733,25 +733,24 @@ fn max_matching(g: &PrecedenceGraph) -> Vec<u32> {
 
 pub use kernels::{max_into, min_into};
 
-/// Word-parallel (SWAR) kernels over the `u16` extremum rows.
+/// The kernels over the `u16` extremum rows.
 ///
-/// Every row walk the index performs — the build/grow min/max
-/// relaxations and the `O(#chains)` set probes — reduces to an
-/// elementwise `min`/`max`/`≤` over two `u16` vectors. These kernels
-/// process **4 lanes per iteration** by packing four positions into one
-/// `u64` and doing per-lane unsigned comparison with plain integer
-/// arithmetic, so they run on stable Rust with no `unsafe` and no
-/// target-feature gates (the CI toolchain has no nightly `std::simd`).
+/// Every row walk the index performs reduces to an elementwise
+/// `min`/`max`/`≤` over two `u16` vectors. The build/grow merges
+/// ([`min_into`], [`max_into`]) are branch-free plain loops, which
+/// LLVM autovectorizes. The set probe [`any_le`](kernels::any_le) exits
+/// early, which defeats the autovectorizer, so it walks **4 lanes per
+/// iteration** by packing four positions into one `u64` and comparing
+/// lanes with plain integer arithmetic — stable Rust, no `unsafe`, no
+/// target-feature gates.
 ///
 /// The word trick: split a packed word into its even lanes (bits
 /// 0–15, 32–47) and odd lanes (shifted right 16). With 16-bit values
 /// `a`, `b` in even-lane slots, `(b | GUARD) − a` cannot borrow across
 /// lanes — `0x1_0000 + b − a` always fits in 17 bits — and its guard
 /// bit (bit 16 of each 32-bit slot) survives exactly when `a ≤ b`.
-/// That bit yields an "any lane ≤" probe directly, or a full-lane
-/// select mask via `(guard_bits >> 16) * 0xFFFF`. The scalar
-/// `*_scalar` twins are the oracles for the differential fuzz suite
-/// (`reach_properties.rs`) and for the microbench before/after.
+/// [`any_le_scalar`](kernels::any_le_scalar) is the oracle for the
+/// differential fuzz suite (`reach_properties.rs`) and the microbench.
 pub mod kernels {
     use super::Pos;
 
@@ -774,86 +773,24 @@ pub mod kernels {
         ((b | GUARD).wrapping_sub(a)) & GUARD
     }
 
-    /// `0xFFFF` in each even lane where `a ≤ b`, `0` elsewhere. The
-    /// multiply broadcasts the isolated guard bits (at 0 and 32 after
-    /// the shift) into full lanes without overlap.
-    #[inline(always)]
-    fn le_mask(a: u64, b: u64) -> u64 {
-        (le_guards(a, b) >> 16).wrapping_mul(0xFFFF)
-    }
-
-    /// Per-lane minimum of two packed 4×`u16` words.
-    #[inline(always)]
-    fn lane_min(a: u64, b: u64) -> u64 {
-        let (ae, be) = (a & EVEN, b & EVEN);
-        let (ao, bo) = ((a >> 16) & EVEN, (b >> 16) & EVEN);
-        // Select `a` where `a ≤ b`, else `b`: b ^ ((a^b) & mask).
-        let me = be ^ ((ae ^ be) & le_mask(ae, be));
-        let mo = bo ^ ((ao ^ bo) & le_mask(ao, bo));
-        me | (mo << 16)
-    }
-
-    /// Per-lane maximum of two packed 4×`u16` words.
-    #[inline(always)]
-    fn lane_max(a: u64, b: u64) -> u64 {
-        let (ae, be) = (a & EVEN, b & EVEN);
-        let (ao, bo) = ((a >> 16) & EVEN, (b >> 16) & EVEN);
-        // Select `b` where `a ≤ b`, else `a`: a ^ ((a^b) & mask).
-        let me = ae ^ ((ae ^ be) & le_mask(ae, be));
-        let mo = ao ^ ((ao ^ bo) & le_mask(ao, bo));
-        me | (mo << 16)
-    }
-
-    /// Unpacks a word back into 4 consecutive positions.
-    #[inline(always)]
-    fn unpack(w: u64, c: &mut [Pos]) {
-        c[0] = w as Pos;
-        c[1] = (w >> 16) as Pos;
-        c[2] = (w >> 32) as Pos;
-        c[3] = (w >> 48) as Pos;
-    }
-
     /// `dst = min(dst, src)` elementwise; `true` if anything changed.
-    /// 4 lanes per iteration, scalar ragged tail.
+    /// Branch-free: a compare-and-store loop mispredicts on the
+    /// irregular rows an index build merges.
     pub fn min_into(dst: &mut [Pos], src: &[Pos]) -> bool {
-        let n = dst.len().min(src.len());
-        let mut diff = 0u64;
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = pack(&dst[i..i + 4]);
-            let m = lane_min(d, pack(&src[i..i + 4]));
-            diff |= d ^ m;
-            unpack(m, &mut dst[i..i + 4]);
-            i += 4;
-        }
-        let mut changed = diff != 0;
-        for (d, &s) in dst[i..n].iter_mut().zip(&src[i..n]) {
-            if s < *d {
-                *d = s;
-                changed = true;
-            }
+        let mut changed = false;
+        for (d, &s) in dst.iter_mut().zip(src) {
+            changed |= s < *d;
+            *d = (*d).min(s);
         }
         changed
     }
 
     /// `dst = max(dst, src)` elementwise; `true` if anything changed.
     pub fn max_into(dst: &mut [Pos], src: &[Pos]) -> bool {
-        let n = dst.len().min(src.len());
-        let mut diff = 0u64;
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = pack(&dst[i..i + 4]);
-            let m = lane_max(d, pack(&src[i..i + 4]));
-            diff |= d ^ m;
-            unpack(m, &mut dst[i..i + 4]);
-            i += 4;
-        }
-        let mut changed = diff != 0;
-        for (d, &s) in dst[i..n].iter_mut().zip(&src[i..n]) {
-            if s > *d {
-                *d = s;
-                changed = true;
-            }
+        let mut changed = false;
+        for (d, &s) in dst.iter_mut().zip(src) {
+            changed |= s > *d;
+            *d = (*d).max(s);
         }
         changed
     }
@@ -878,31 +815,6 @@ pub mod kernels {
             i += 4;
         }
         a[i..n].iter().zip(&b[i..n]).any(|(&x, &y)| x <= y)
-    }
-
-    /// Scalar oracle for [`min_into`] — reference semantics for the
-    /// differential fuzz suite and the kernel microbench.
-    pub fn min_into_scalar(dst: &mut [Pos], src: &[Pos]) -> bool {
-        let mut changed = false;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            if s < *d {
-                *d = s;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Scalar oracle for [`max_into`].
-    pub fn max_into_scalar(dst: &mut [Pos], src: &[Pos]) -> bool {
-        let mut changed = false;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            if s > *d {
-                *d = s;
-                changed = true;
-            }
-        }
-        changed
     }
 
     /// Scalar oracle for [`any_le`].
@@ -1205,7 +1117,7 @@ mod tests {
         let _ = idx2.try_grow(&g);
     }
 
-    /// In-module spot checks of the word-parallel kernels; the ragged
+    /// In-module spot checks of the word-parallel `any_le`; the ragged
     /// tail / saturated-row fuzz lives in `tests/reach_properties.rs`.
     #[test]
     fn word_kernels_agree_with_scalar_oracles_on_edge_rows() {
@@ -1224,14 +1136,6 @@ mod tests {
                     continue;
                 }
                 assert_eq!(any_le(a, b), any_le_scalar(a, b), "{a:?} vs {b:?}");
-                let mut d1 = a.to_vec();
-                let mut d2 = a.to_vec();
-                assert_eq!(min_into(&mut d1, b), min_into_scalar(&mut d2, b));
-                assert_eq!(d1, d2, "min {a:?} {b:?}");
-                let mut d1 = a.to_vec();
-                let mut d2 = a.to_vec();
-                assert_eq!(max_into(&mut d1, b), max_into_scalar(&mut d2, b));
-                assert_eq!(d1, d2, "max {a:?} {b:?}");
             }
         }
     }

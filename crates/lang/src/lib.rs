@@ -125,12 +125,5 @@ pub fn compile(
         let program = parser::parse(&tokens)?;
         lower::lower(&program, &delays)
     })
-    .unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(LangError::Internal(msg))
-    })
+    .unwrap_or_else(|payload| Err(LangError::Internal(hls_ir::panic_message(payload.as_ref()))))
 }

@@ -23,9 +23,9 @@
 
 use hls_ir::schedule::ModuloSchedule;
 use hls_ir::{OpId, PrecedenceGraph, ResourceSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use threaded_sched::meta::MetaSchedule;
+use threaded_sched::pool::Pool;
 use threaded_sched::{ModuloScheduler, SchedError};
 
 /// Bits of the packed incumbent for the candidate slot.
@@ -211,95 +211,55 @@ pub fn run_modulo_portfolio(
 
     let _race_span = hls_obs::obs_span!(ModuloRace, "", candidates.len() as u64);
     let incumbent = AtomicU64::new(u64::MAX);
-    let next_job = AtomicUsize::new(0);
-    let workers = crate::race_workers(cfg.threads, candidates.len());
+    let pool = Pool {
+        workers: crate::race_workers(cfg.threads, candidates.len()),
+        phase: hls_obs::Phase::ModuloCandidate,
+    };
+    let tags: Vec<String> = candidates
+        .iter()
+        .map(|&(ii, oi)| format!("ii={ii}/{}", orders[oi].0))
+        .collect();
 
-    /// How one `(II, order)` candidate ended.
-    enum Done {
-        Completed { latency: u64, ms: ModuloSchedule },
-        Pruned,
-        /// Infeasible at that II (or any other placement failure that
-        /// only rules out this candidate).
-        Failed,
-        TimedOut,
-        Poisoned(String),
-    }
-    let mut slots: Vec<Option<ModuloRunReport>> = Vec::new();
-    slots.resize_with(candidates.len(), || None);
+    let mut runs: Vec<ModuloRunReport> = candidates
+        .iter()
+        .zip(&tags)
+        .map(|(&(ii, _), tag)| ModuloRunReport {
+            name: tag.clone(),
+            ii,
+            latency: None,
+            pruned: false,
+            poisoned: None,
+            timed_out: false,
+        })
+        .collect();
     let mut best: Option<(u64, u64, usize, ModuloSchedule)> = None;
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, Done)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let incumbent = &incumbent;
-            let next_job = &next_job;
-            let sched = &sched;
-            let candidates = &candidates;
-            let orders = &orders;
-            let g = &*g;
-            let budget = &cfg.budget;
-            s.spawn(move || loop {
-                let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                if idx >= candidates.len() {
-                    break;
-                }
-                let (ii, oi) = candidates[idx];
-                let slot = idx as u64;
-                // Prune: even a latency-0 completion at this II loses.
-                if pack(ii, 0, slot) > incumbent.load(Ordering::Relaxed) {
-                    if tx.send((idx, Done::Pruned)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // The scheduler already isolates placement panics
-                // (`SchedError::Poisoned`); the outer catch_unwind
-                // contains anything unwinding outside that boundary
-                // (e.g. latency computation), so no panic crosses the
-                // race. The run executes inside a fault-injection
-                // scope named after the candidate tag.
-                hls_obs::obs_count!(ModuloCandidates);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let tag = format!("ii={ii}/{}", orders[oi].0);
-                    let _span = hls_obs::obs_span!(ModuloCandidate, &tag, ii);
-                    let _scope = hls_ir::faultinject::RunScope::enter(&tag);
-                    let run = match &orders[oi].1 {
-                        None => sched.schedule_at_budgeted(ii, budget),
-                        Some(order) => sched.schedule_at_ordered_budgeted(ii, order, budget),
-                    };
-                    match run {
-                        Ok(ms) => {
-                            let latency = ms.latency(g);
-                            incumbent.fetch_min(pack(ii, latency, slot), Ordering::Relaxed);
-                            Done::Completed { latency, ms }
-                        }
-                        Err(SchedError::Timeout) => Done::TimedOut,
-                        Err(SchedError::Poisoned(msg)) => Done::Poisoned(msg),
-                        Err(_) => Done::Failed,
-                    }
-                }));
-                let done = attempt.unwrap_or_else(|payload| {
-                    Done::Poisoned(threaded_sched::panic_message(payload.as_ref()))
-                });
-                if tx.send((idx, done)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (idx, done) in rx {
+    pool.run(
+        &tags,
+        || (),
+        // `Ok(None)`: pruned — even a latency-0 completion at this II
+        // loses to the incumbent.
+        |_, idx| {
             let (ii, oi) = candidates[idx];
-            let mut report = ModuloRunReport {
-                name: format!("ii={ii}/{}", orders[oi].0),
-                ii,
-                latency: None,
-                pruned: false,
-                poisoned: None,
-                timed_out: false,
-            };
+            let slot = idx as u64;
+            if pack(ii, 0, slot) > incumbent.load(Ordering::Relaxed) {
+                return Ok(None);
+            }
+            hls_obs::obs_count!(ModuloCandidates);
+            let _span = hls_obs::obs_span!(ModuloCandidate, &tags[idx], ii);
+            let ms = match &orders[oi].1 {
+                None => sched.schedule_at_budgeted(ii, &cfg.budget),
+                Some(order) => sched.schedule_at_ordered_budgeted(ii, order, &cfg.budget),
+            }?;
+            let latency = ms.latency(g);
+            incumbent.fetch_min(pack(ii, latency, slot), Ordering::Relaxed);
+            Ok(Some((latency, ms)))
+        },
+        |idx, done| {
+            let report = &mut runs[idx];
             match done {
-                Done::Completed { latency, ms } => {
+                Ok(Some((latency, ms))) => {
                     report.latency = Some(latency);
+                    let ii = report.ii;
                     let better = best
                         .as_ref()
                         .is_none_or(|b| (ii, latency, idx) < (b.0, b.1, b.2));
@@ -307,18 +267,15 @@ pub fn run_modulo_portfolio(
                         best = Some((ii, latency, idx, ms));
                     }
                 }
-                Done::Pruned => report.pruned = true,
-                Done::Failed => {}
-                Done::TimedOut => report.timed_out = true,
-                Done::Poisoned(msg) => report.poisoned = Some(msg),
+                Ok(None) => report.pruned = true,
+                Err(SchedError::Timeout) => report.timed_out = true,
+                Err(SchedError::Poisoned(msg)) => report.poisoned = Some(msg),
+                // Infeasible at that II (or any other placement failure
+                // that only rules out this candidate).
+                Err(_) => {}
             }
-            slots[idx] = Some(report);
-        }
-    });
-    let runs: Vec<ModuloRunReport> = slots
-        .into_iter()
-        .map(|r| r.expect("every candidate reports"))
-        .collect();
+        },
+    );
 
     match best {
         Some((ii, latency, idx, ms)) => Ok(ModuloPortfolioOutcome {

@@ -2,8 +2,10 @@
 //!
 //! # The race
 //!
-//! Candidates (meta orders) race on OS threads pulled from a shared
-//! work queue. The coordination state is **one atomic `u64`**: the
+//! Candidates (meta orders) race as jobs of the workspace worker pool
+//! ([`threaded_sched::pool`]), which also owns the per-job panic
+//! boundary and post-mortem. The coordination state is **one atomic
+//! `u64`**: the
 //! *incumbent*, the lexicographically smallest `(diameter, slot)` pair
 //! — packed as `diameter << 16 | slot` — over all *completed* runs,
 //! maintained with `fetch_min`. Each run probes the incumbent after
@@ -39,9 +41,9 @@
 
 use crate::{cone, perturb};
 use hls_ir::{OpId, PrecedenceGraph, ResourceSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use threaded_sched::meta::MetaSchedule;
+use threaded_sched::pool::Pool;
 use threaded_sched::{RunOutcome, SchedError, ThreadedScheduler};
 
 /// Bits of the packed incumbent reserved for the candidate slot.
@@ -99,8 +101,8 @@ pub struct Candidate {
 pub struct RunReport {
     /// The candidate's name.
     pub name: String,
-    /// Operations scheduled before completing, aborting, timing out
-    /// or panicking.
+    /// Operations scheduled before completing, aborting or timing out
+    /// (0 for a poisoned run, whose state is discarded).
     pub scheduled: usize,
     /// Final state diameter — `None` if the run did not complete.
     /// Which losing runs abort (and after how many operations) depends
@@ -201,8 +203,8 @@ pub fn race(
 /// A per-worker arena of scheduler state. The first run a worker
 /// executes clones the pristine template and *grows* all per-node
 /// tables; when that run does not hand its scheduler to the race
-/// result (aborted, timed out, or a losing complete run would — only
-/// winners move out), the grown state parks here and the next run
+/// result (aborted or timed out — only completed runs move out), the
+/// grown state parks here and the next run
 /// [`ThreadedScheduler::reset_to`]s it instead of cloning: same
 /// pristine state bit-for-bit, zero allocation. Poisoned or diverged
 /// states fail the reset and fall back to a fresh clone.
@@ -214,18 +216,10 @@ pub struct RunArena {
 impl RunArena {
     /// A pristine scheduler for the next run: the parked state reset in
     /// place when possible, a clone of `template` otherwise.
-    ///
-    /// Setting `HLS_PORTFOLIO_NO_ARENA` in the environment disables
-    /// the reuse and clones every run — the pre-arena behavior, kept
-    /// as a benchmark baseline (BENCH_7) and a diagnostic escape
-    /// hatch. Results are identical either way; only allocation
-    /// traffic differs.
     fn checkout(&mut self, template: &ThreadedScheduler) -> Box<ThreadedScheduler> {
-        if std::env::var_os("HLS_PORTFOLIO_NO_ARENA").is_none() {
-            if let Some(mut ts) = self.parked.take() {
-                if ts.reset_to(template) {
-                    return ts;
-                }
+        if let Some(mut ts) = self.parked.take() {
+            if ts.reset_to(template) {
+                return ts;
             }
         }
         Box::new(template.clone())
@@ -237,13 +231,11 @@ impl RunArena {
     }
 }
 
-/// How one candidate's run ended, as sent over the race channel.
+/// How one candidate's run ended short of an error.
 enum RunResult {
     /// Ran the whole order; eligible to win. The scheduler is boxed:
-    /// it dwarfs the other variants, and most channel messages are
-    /// non-winners.
+    /// it dwarfs the other variants, and most results are non-winners.
     Completed {
-        scheduled: usize,
         diameter: u64,
         scheduler: Box<ThreadedScheduler>,
         order: Vec<OpId>,
@@ -252,21 +244,12 @@ enum RunResult {
     Aborted { scheduled: usize },
     /// Stopped by the budget.
     TimedOut { scheduled: usize },
-    /// Panicked mid-run (caught): excluded, race continues.
-    Poisoned { scheduled: usize, msg: String },
-    /// A structural error (bad order, incompatible resources) that
-    /// fails the whole race.
-    Fatal(SchedError),
 }
 
-/// Runs one candidate to a [`RunResult`]. All failure modes are
-/// contained here: scheduler-level panics surface as
-/// [`SchedError::Poisoned`] (the scheduler catches them), and anything
-/// unwinding from order construction is caught by the outer
-/// `catch_unwind`. The run executes inside a fault-injection
-/// [`RunScope`](hls_ir::faultinject::RunScope) named after the
-/// candidate, so the harness can target one strategy of a race
-/// deterministically.
+/// Runs one candidate from the worker's `template` and `arena`.
+/// Scheduler-level panics surface as [`SchedError::Poisoned`] (the
+/// scheduler catches them); the pool's job boundary catches anything
+/// else, such as a panic in order construction.
 #[allow(clippy::too_many_arguments)]
 fn run_candidate(
     cand: &Candidate,
@@ -277,68 +260,37 @@ fn run_candidate(
     slot: u64,
     incumbent: &AtomicU64,
     budget: &hls_ir::Budget,
-) -> RunResult {
+) -> Result<RunResult, SchedError> {
     hls_obs::obs_count!(StrategySpawned);
     let _span = hls_obs::obs_span!(PortfolioRun, &cand.name, slot);
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _scope = hls_ir::faultinject::RunScope::enter(&cand.name);
-        let order = cand.source.resolve(g, resources)?;
-        let mut ts = arena.checkout(template);
-        let outcome = ts.schedule_all_budgeted(order.iter().copied(), budget, |bound| {
-            pack(bound, slot) > incumbent.load(Ordering::Relaxed)
-        });
-        Ok(match outcome {
-            Ok(RunOutcome::Completed) => {
-                let d = ts.diameter();
-                incumbent.fetch_min(pack(d, slot), Ordering::Relaxed);
-                // Completed runs may win the race, so their scheduler
-                // travels with the result instead of parking.
-                RunResult::Completed {
-                    scheduled: order.len(),
-                    diameter: d,
-                    scheduler: ts,
-                    order,
-                }
+    let order = cand.source.resolve(g, resources)?;
+    let mut ts = arena.checkout(template);
+    let outcome = ts.schedule_all_budgeted(order.iter().copied(), budget, |bound| {
+        pack(bound, slot) > incumbent.load(Ordering::Relaxed)
+    })?;
+    Ok(match outcome {
+        RunOutcome::Completed => {
+            let diameter = ts.diameter();
+            incumbent.fetch_min(pack(diameter, slot), Ordering::Relaxed);
+            // Completed runs may win the race, so their scheduler
+            // travels with the result instead of parking.
+            RunResult::Completed {
+                diameter,
+                scheduler: ts,
+                order,
             }
-            Ok(RunOutcome::Aborted { scheduled }) => {
-                hls_obs::obs_count!(StrategyAborted);
-                arena.park(ts);
-                RunResult::Aborted { scheduled }
-            }
-            Ok(RunOutcome::DeadlineExpired { scheduled }) => {
-                hls_obs::obs_count!(StrategyTimedOut);
-                arena.park(ts);
-                RunResult::TimedOut { scheduled }
-            }
-            Err(SchedError::Poisoned(msg)) => {
-                // A poisoned state would fail the reset anyway: drop it.
-                poisoned_post_mortem(&cand.name, &msg);
-                RunResult::Poisoned {
-                    scheduled: ts.scheduled_count(),
-                    msg,
-                }
-            }
-            Err(e) => return Err(e),
-        })
-    }));
-    match attempt {
-        Ok(Ok(result)) => result,
-        Ok(Err(e)) => RunResult::Fatal(e),
-        Err(payload) => {
-            let msg = threaded_sched::panic_message(payload.as_ref());
-            poisoned_post_mortem(&cand.name, &msg);
-            RunResult::Poisoned { scheduled: 0, msg }
         }
-    }
-}
-
-/// Records a poisoned strategy: lifecycle counter, ring marker, and a
-/// flight-recorder dump so the panic leaves a post-mortem even though
-/// the race swallows it and continues.
-fn poisoned_post_mortem(name: &str, msg: &str) {
-    hls_obs::obs_count!(StrategyPoisoned);
-    hls_obs::obs_instant!(PortfolioRun, name, 1);
-    hls_obs::flight::dump(&format!("portfolio strategy '{name}' poisoned: {msg}"));
+        RunOutcome::Aborted { scheduled } => {
+            hls_obs::obs_count!(StrategyAborted);
+            arena.park(ts);
+            RunResult::Aborted { scheduled }
+        }
+        RunOutcome::DeadlineExpired { scheduled } => {
+            hls_obs::obs_count!(StrategyTimedOut);
+            arena.park(ts);
+            RunResult::TimedOut { scheduled }
+        }
+    })
 }
 
 /// [`race`] with a caller-supplied pristine scheduler — what
@@ -365,51 +317,36 @@ fn race_from(
     }
     let _race_span = hls_obs::obs_span!(PortfolioRace, "", candidates.len() as u64);
     let incumbent = AtomicU64::new(bound.map_or(u64::MAX, |d| pack(d, 0)));
-    let next_job = AtomicUsize::new(0);
-    let workers = race_workers(threads, candidates.len());
+    let pool = Pool {
+        workers: race_workers(threads, candidates.len()),
+        phase: hls_obs::Phase::PortfolioRun,
+    };
+    let tags: Vec<&str> = candidates.iter().map(|c| c.name.as_str()).collect();
 
     let mut slots: Vec<Option<RunReport>> = Vec::new();
     slots.resize_with(candidates.len(), || None);
     let mut best: Option<RaceWinner> = None;
     let mut errs: Vec<Option<SchedError>> = vec![None; candidates.len()];
-
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let incumbent = &incumbent;
-            let next_job = &next_job;
-            // One template clone per *worker* (RefCell scratch makes
-            // the scheduler !Sync); the arena then recycles that
-            // worker's run state so runs after the first reset in
-            // place instead of cloning again.
-            let template = template.clone();
-            s.spawn(move || {
-                let mut arena = RunArena::default();
-                loop {
-                    let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                    if idx >= candidates.len() {
-                        break;
-                    }
-                    let slot = (idx + 1) as u64;
-                    let run = run_candidate(
-                        &candidates[idx],
-                        g,
-                        resources,
-                        &template,
-                        &mut arena,
-                        slot,
-                        incumbent,
-                        budget,
-                    );
-                    if tx.send((idx, run)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (idx, run) in rx {
+    pool.run(
+        &tags,
+        // One template clone per *worker* (RefCell scratch makes the
+        // scheduler !Sync); the arena then recycles that worker's run
+        // state so runs after the first reset in place.
+        || (template.clone(), RunArena::default()),
+        |(template, arena), idx| {
+            let slot = (idx + 1) as u64;
+            run_candidate(
+                &candidates[idx],
+                g,
+                resources,
+                template,
+                arena,
+                slot,
+                &incumbent,
+                budget,
+            )
+        },
+        |idx, run| {
             let mut report = RunReport {
                 name: candidates[idx].name.clone(),
                 scheduled: 0,
@@ -418,13 +355,12 @@ fn race_from(
                 timed_out: false,
             };
             match run {
-                RunResult::Completed {
-                    scheduled,
+                Ok(RunResult::Completed {
                     diameter,
                     scheduler,
                     order,
-                } => {
-                    report.scheduled = scheduled;
+                }) => {
+                    report.scheduled = order.len();
                     report.diameter = Some(diameter);
                     let better = best
                         .as_ref()
@@ -438,24 +374,19 @@ fn race_from(
                         });
                     }
                 }
-                RunResult::Aborted { scheduled } => report.scheduled = scheduled,
-                RunResult::TimedOut { scheduled } => {
+                Ok(RunResult::Aborted { scheduled }) => report.scheduled = scheduled,
+                Ok(RunResult::TimedOut { scheduled }) => {
                     report.scheduled = scheduled;
                     report.timed_out = true;
                 }
-                RunResult::Poisoned { scheduled, msg } => {
-                    report.scheduled = scheduled;
-                    report.poisoned = Some(msg);
-                }
-                RunResult::Fatal(e) => {
-                    errs[idx] = Some(e);
-                }
+                Err(SchedError::Poisoned(msg)) => report.poisoned = Some(msg),
+                Err(e) => errs[idx] = Some(e),
             }
             slots[idx] = Some(report);
-        }
-    });
-    // Report the lowest-index failure: arrival order over the channel
-    // is timing-dependent, the candidate list is not.
+        },
+    );
+    // Report the lowest-index failure: completion order is
+    // timing-dependent, the candidate list is not.
     if let Some(e) = errs.into_iter().flatten().next() {
         return Err(e);
     }

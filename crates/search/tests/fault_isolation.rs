@@ -18,6 +18,7 @@ fn poisoned_modulo_candidate_is_excluded_and_a_survivor_wins() {
     let g = bench_graphs::mac_loop();
     let r = ResourceSet::classic(1, 1).with(ResourceClass::MemPort, 1);
     let mii = ModuloScheduler::new(g.clone(), r.clone()).unwrap().mii();
+    hls_obs::flight::clear_last_flight();
     let _armed = hls_ir::faultinject::arm(
         hls_ir::faultinject::FaultPlan::panic_at(1).in_run(format!("ii={mii}/height")),
     );
@@ -30,4 +31,7 @@ fn poisoned_modulo_candidate_is_excluded_and_a_survivor_wins() {
         .expect("the targeted candidate is reported poisoned");
     assert_eq!(dead.name, format!("ii={mii}/height"));
     assert_ne!(out.winner_name, dead.name);
+    // The swallowed panic still leaves a post-mortem naming the tag.
+    let flight = hls_obs::flight::last_flight().expect("a poisoned candidate dumps");
+    assert!(flight.contains(&format!("'ii={mii}/height' poisoned")), "{flight}");
 }

@@ -93,6 +93,14 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
+    /// Wraps a TCP stream with Nagle's algorithm off: every message is
+    /// one small write answered by the peer, so coalescing would hold
+    /// each one back for the peer's delayed ACK.
+    fn tcp(s: TcpStream) -> io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
+    }
+
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
@@ -111,7 +119,7 @@ impl Stream {
 
     pub(crate) fn connect(addr: &BindAddr) -> io::Result<Stream> {
         match addr {
-            BindAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(Stream::Tcp),
+            BindAddr::Tcp(a) => Stream::tcp(TcpStream::connect(a.as_str())?),
             #[cfg(unix)]
             BindAddr::Unix(p) => UnixStream::connect(p).map(Stream::Unix),
         }
@@ -163,7 +171,7 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => Stream::tcp(l.accept()?.0),
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -809,7 +817,7 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
             handle(inner, &job)
         }));
         let mut resp = outcome.unwrap_or_else(|payload| {
-            let msg = threaded_sched::panic_message(payload.as_ref());
+            let msg = hls_ir::panic_message(payload.as_ref());
             hls_obs::obs_count!(ServePanics);
             hls_obs::obs_error!("serve", "request {id} (trace {trace:016x}) panicked: {msg}");
             // Post-mortem before the evidence scrolls away: the flight

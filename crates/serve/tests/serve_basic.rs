@@ -241,3 +241,25 @@ fn unix_socket_transport_works_end_to_end() {
     server.shutdown(Duration::from_secs(5));
     assert!(!path.exists(), "socket file removed on shutdown");
 }
+
+#[test]
+fn sequential_cache_hits_over_tcp_are_not_held_back_by_nagle() {
+    // Each answer is one small write; with Nagle on, it waits for the
+    // client's delayed ACK (tens of ms per request on Linux).
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let text = textfmt::to_text(&bench_graphs::hal());
+    let cold = client.schedule(&text, &RequestOpts::default()).unwrap();
+    assert_eq!(cold.cache, CacheStatus::Miss);
+    let t0 = std::time::Instant::now();
+    for _ in 0..20 {
+        let hit = client.schedule(&text, &RequestOpts::default()).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+    }
+    let elapsed = t0.elapsed();
+    server.shutdown(Duration::from_secs(5));
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 sequential TCP cache hits took {elapsed:?}"
+    );
+}
