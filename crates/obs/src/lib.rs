@@ -9,8 +9,8 @@
 //!   slot carries a seqlock stamp so concurrent snapshots read
 //!   consistently or skip. No allocation in steady state; on wrap
 //!   the newest events win.
-//! * **Metrics registry** ([`metrics`]) — typed counters (sharded
-//!   eight ways against cacheline contention), gauges, and
+//! * **Metrics registry** ([`metrics`]) — typed engine counters
+//!   (sharded eight ways against cacheline contention) and
 //!   log2-bucketed latency histograms, all plain atomics.
 //! * **Exporters** ([`export`]) — Chrome `trace_event` JSON for
 //!   timelines and a flat JSON metrics snapshot; [`flight`] dumps
@@ -59,7 +59,7 @@ pub mod recorder;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub use log::Level;
-pub use metrics::{Counter, Gauge, Hist};
+pub use metrics::{Counter, Hist};
 pub use recorder::{Phase, SpanGuard};
 
 /// `true` when the crate was built with the `recorder` feature (the
@@ -161,17 +161,6 @@ macro_rules! obs_count {
     ($counter:ident, $n:expr) => {
         if $crate::recording() {
             $crate::metrics::counter_add($crate::Counter::$counter, $n);
-        }
-    };
-}
-
-/// Adjusts a [`Gauge`] by a signed delta:
-/// `obs_gauge_add!(QueueDepth, 1)` / `obs_gauge_add!(QueueDepth, -1)`.
-#[macro_export]
-macro_rules! obs_gauge_add {
-    ($gauge:ident, $delta:expr) => {
-        if $crate::recording() {
-            $crate::metrics::gauge_add($crate::Gauge::$gauge, $delta);
         }
     };
 }

@@ -1,12 +1,15 @@
-//! The metrics registry: typed counters, gauges, and log2-bucketed
+//! The metrics registry: typed engine counters and log2-bucketed
 //! latency histograms — all plain atomics, aggregated on demand.
 //!
 //! Counters are sharded eight ways on a per-thread affinity so hot
 //! paths (one `count!` per scheduler op) don't ping-pong a cacheline
-//! between workers. Gauges and histograms are single-copy: they are
-//! touched at phase granularity, not per-op.
+//! between workers. Histograms are single-copy: they are touched at
+//! phase granularity, not per-op.
+//!
+//! The daemon's own admission and answer accounting is not here: each
+//! `hls_serve::Server` keeps an always-on ledger of its own.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic event counters. Keep the order stable — snapshots and
 /// the STATS plane key off [`Counter::name`].
@@ -49,20 +52,8 @@ pub enum Counter {
     AnsweredListSchedule,
     /// Flows that fell all the way to a bound-only answer.
     AnsweredBoundOnly,
-    /// Requests admitted by the daemon.
-    ServeRequests,
-    /// Requests answered `OK`.
-    ServeCompleted,
-    /// Requests answered `ERR` (any reject kind).
-    ServeRejected,
-    /// Requests that panicked inside a worker and were caught.
-    ServePanics,
-    /// Schedule-cache hits.
-    CacheHits,
     /// ECO grafts taken instead of a full flow.
     EcoGrafts,
-    /// `STATS` queries served.
-    StatsQueries,
     /// Log events emitted (at or above the active `HLS_LOG` level).
     LogEvents,
     /// Flight-recorder dumps written.
@@ -93,13 +84,7 @@ impl Counter {
         Counter::AnsweredSingleMeta,
         Counter::AnsweredListSchedule,
         Counter::AnsweredBoundOnly,
-        Counter::ServeRequests,
-        Counter::ServeCompleted,
-        Counter::ServeRejected,
-        Counter::ServePanics,
-        Counter::CacheHits,
         Counter::EcoGrafts,
-        Counter::StatsQueries,
         Counter::LogEvents,
         Counter::FlightDumps,
     ];
@@ -125,45 +110,9 @@ impl Counter {
             Counter::AnsweredSingleMeta => "answered_single_meta",
             Counter::AnsweredListSchedule => "answered_list_schedule",
             Counter::AnsweredBoundOnly => "answered_bound_only",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeCompleted => "serve_completed",
-            Counter::ServeRejected => "serve_rejected",
-            Counter::ServePanics => "serve_panics",
-            Counter::CacheHits => "cache_hits",
             Counter::EcoGrafts => "eco_grafts",
-            Counter::StatsQueries => "stats_queries",
             Counter::LogEvents => "log_events",
             Counter::FlightDumps => "flight_dumps",
-        }
-    }
-}
-
-/// Point-in-time gauges (signed: decrements are legal).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Jobs waiting in the daemon's admission queue.
-    QueueDepth = 0,
-    /// Requests currently being scheduled by workers.
-    InFlight,
-    /// Open client connections.
-    Connections,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = Gauge::Connections as usize + 1;
-
-    /// All gauges, in snapshot order.
-    pub const ALL: [Gauge; Gauge::COUNT] =
-        [Gauge::QueueDepth, Gauge::InFlight, Gauge::Connections];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::QueueDepth => "queue_depth",
-            Gauge::InFlight => "in_flight",
-            Gauge::Connections => "connections",
         }
     }
 }
@@ -246,10 +195,6 @@ impl CounterShard {
 
 static COUNTERS: [CounterShard; SHARDS] = [CounterShard::EMPTY; SHARDS];
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_I64: AtomicI64 = AtomicI64::new(0);
-static GAUGES: [AtomicI64; Gauge::COUNT] = [ZERO_I64; Gauge::COUNT];
-
 /// 2^40 µs ≈ 12.7 days: bucket `i` holds samples with
 /// `floor(log2(us)) == i` (bucket 0 also takes 0 µs).
 pub const HIST_BUCKETS: usize = 40;
@@ -294,23 +239,6 @@ pub fn counter_get(c: Counter) -> u64 {
         .iter()
         .map(|s| s.vals[c as usize].load(Ordering::Relaxed))
         .sum()
-}
-
-/// Adds `delta` (may be negative) to a gauge.
-#[inline]
-pub fn gauge_add(g: Gauge, delta: i64) {
-    GAUGES[g as usize].fetch_add(delta, Ordering::Relaxed);
-}
-
-/// Sets a gauge to an absolute value.
-#[inline]
-pub fn gauge_set(g: Gauge, value: i64) {
-    GAUGES[g as usize].store(value, Ordering::Relaxed);
-}
-
-/// Current gauge value.
-pub fn gauge_get(g: Gauge) -> i64 {
-    GAUGES[g as usize].load(Ordering::Relaxed)
 }
 
 fn bucket_of(us: u64) -> usize {
@@ -372,8 +300,6 @@ impl HistSnapshot {
 pub struct MetricsSnapshot {
     /// `(name, total)` per counter, in [`Counter::ALL`] order.
     pub counters: Vec<(&'static str, u64)>,
-    /// `(name, value)` per gauge.
-    pub gauges: Vec<(&'static str, i64)>,
     /// `(name, histogram)` per histogram.
     pub hists: Vec<(&'static str, HistSnapshot)>,
 }
@@ -401,10 +327,6 @@ pub fn snapshot() -> MetricsSnapshot {
         .iter()
         .map(|&c| (c.name(), counter_get(c)))
         .collect();
-    let gauges = Gauge::ALL
-        .iter()
-        .map(|&g| (g.name(), gauge_get(g)))
-        .collect();
     let hists = Hist::ALL
         .iter()
         .map(|&h| {
@@ -423,21 +345,17 @@ pub fn snapshot() -> MetricsSnapshot {
         .collect();
     MetricsSnapshot {
         counters,
-        gauges,
         hists,
     }
 }
 
-/// Zeroes every counter, gauge, and histogram (test isolation only;
+/// Zeroes every counter and histogram (test isolation only;
 /// concurrent writers may land increments mid-reset).
 pub fn reset() {
     for shard in &COUNTERS {
         for v in &shard.vals {
             v.store(0, Ordering::Relaxed);
         }
-    }
-    for g in &GAUGES {
-        g.store(0, Ordering::Relaxed);
     }
     for cell in &HISTS {
         for b in &cell.buckets {
@@ -488,9 +406,6 @@ mod tests {
     fn enum_tables_are_consistent() {
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
-        }
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            assert_eq!(*g as usize, i);
         }
         for (i, h) in Hist::ALL.iter().enumerate() {
             assert_eq!(*h as usize, i);

@@ -121,6 +121,11 @@ impl RetryPolicy {
     }
 }
 
+/// An answer of the wrong verb for the exchange it completes.
+fn unexpected(id: u64, resp: &Response) -> ClientError {
+    ClientError::Protocol(ProtoError(format!("unexpected answer to id {id}: {resp:?}")))
+}
+
 /// A connected client. One in-flight request at a time.
 pub struct Client {
     writer: Stream,
@@ -168,26 +173,9 @@ impl Client {
         self.writer.write_all(header.as_bytes())?;
         self.writer.write_all(text.as_bytes())?;
         self.writer.flush()?;
-
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into()));
-            }
-            let resp = protocol::parse_response(&line).map_err(ClientError::Protocol)?;
-            // Answers for ids this client no longer waits on (e.g.
-            // from an abandoned earlier exchange) are skipped.
-            if resp.id() != id && resp.id() != 0 {
-                continue;
-            }
-            return match resp {
-                Response::Accepted(a) => Ok(a),
-                Response::Rejected(r) => Err(ClientError::Rejected(r)),
-                // A stray STATS reply belongs to no scheduling
-                // exchange; keep waiting for our answer.
-                Response::Stats(_) => continue,
-            };
+        match self.await_reply(id)? {
+            Response::Accepted(a) => Ok(a),
+            other => Err(unexpected(id, &other)),
         }
     }
 
@@ -206,20 +194,30 @@ impl Client {
         let header = protocol::format_stats_header(id);
         self.writer.write_all(header.as_bytes())?;
         self.writer.flush()?;
+        match self.await_reply(id)? {
+            Response::Stats(s) => Ok(s.json),
+            other => Err(unexpected(id, &other)),
+        }
+    }
+
+    /// Reads lines until the answer to `id` arrives; an id-less
+    /// rejection (a connection-level refusal) also answers it.
+    /// Rejections come back as [`ClientError::Rejected`].
+    fn await_reply(&mut self, id: u64) -> Result<Response, ClientError> {
         loop {
             let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
+            if self.reader.read_line(&mut line)? == 0 {
                 return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into()));
             }
             let resp = protocol::parse_response(&line).map_err(ClientError::Protocol)?;
+            // Answers for ids this client no longer waits on (e.g.
+            // from an abandoned earlier exchange) are skipped.
             if resp.id() != id && resp.id() != 0 {
                 continue;
             }
             return match resp {
-                Response::Stats(s) => Ok(s.json),
                 Response::Rejected(r) => Err(ClientError::Rejected(r)),
-                Response::Accepted(_) => continue,
+                other => Ok(other),
             };
         }
     }

@@ -135,6 +135,18 @@ pub enum RejectKind {
 }
 
 impl RejectKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it).
+    pub const ALL: [RejectKind; 8] = [
+        RejectKind::Overloaded,
+        RejectKind::Draining,
+        RejectKind::TooLarge,
+        RejectKind::Malformed,
+        RejectKind::Unsupported,
+        RejectKind::Timeout,
+        RejectKind::Poisoned,
+        RejectKind::Internal,
+    ];
+
     /// Wire tag.
     pub fn name(self) -> &'static str {
         match self {
@@ -151,17 +163,7 @@ impl RejectKind {
 
     /// Inverse of [`name`](Self::name).
     pub fn from_name(s: &str) -> Option<RejectKind> {
-        match s {
-            "overloaded" => Some(RejectKind::Overloaded),
-            "draining" => Some(RejectKind::Draining),
-            "toolarge" => Some(RejectKind::TooLarge),
-            "malformed" => Some(RejectKind::Malformed),
-            "unsupported" => Some(RejectKind::Unsupported),
-            "timeout" => Some(RejectKind::Timeout),
-            "poisoned" => Some(RejectKind::Poisoned),
-            "internal" => Some(RejectKind::Internal),
-            _ => None,
-        }
+        RejectKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// Can resubmitting the identical request succeed?
@@ -214,16 +216,6 @@ impl Response {
             Response::Accepted(a) => a.id,
             Response::Rejected(r) => r.id,
             Response::Stats(s) => s.id,
-        }
-    }
-
-    /// Stamps the server-assigned trace id onto an answer or
-    /// rejection (no-op for stats replies, which carry no trace).
-    pub fn set_trace(&mut self, trace: u64) {
-        match self {
-            Response::Accepted(a) => a.trace = trace,
-            Response::Rejected(r) => r.trace = trace,
-            Response::Stats(_) => {}
         }
     }
 }
@@ -659,7 +651,7 @@ mod tests {
 
     #[test]
     fn trace_ids_survive_the_wire_and_bad_ones_are_rejected() {
-        let mut r = Response::Accepted(Accepted {
+        let r = Response::Accepted(Accepted {
             id: 1,
             rung: "eco".into(),
             states: Some(4),
@@ -667,9 +659,8 @@ mod tests {
             cache: CacheStatus::Hit,
             degraded: 0,
             micros: 10,
-            trace: 0,
+            trace: 0xabc,
         });
-        r.set_trace(0xabc);
         match parse_response(&format_response(&r)).unwrap() {
             Response::Accepted(a) => assert_eq!(a.trace, 0xabc),
             other => panic!("unexpected {other:?}"),

@@ -219,7 +219,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counter snapshot of a running (or stopped) daemon.
+/// Counter snapshot of a running (or stopped) daemon: its own
+/// ledger, always on and private to this instance.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
     /// Request headers successfully read.
@@ -228,47 +229,122 @@ pub struct ServeStats {
     pub admitted: u64,
     /// Requests answered with an `OK` line.
     pub completed: u64,
-    /// Requests shed by the full queue or connection table.
+    /// `overloaded`: shed by the full queue or connection table.
     pub shed: u64,
-    /// Requests refused because the daemon was draining.
+    /// `draining`: refused because the daemon was draining.
     pub drain_rejects: u64,
-    /// Malformed headers or bodies.
+    /// `malformed`: unparsable headers or bodies.
     pub malformed: u64,
-    /// Requests over the size limits.
+    /// `toolarge`: over the size limits.
     pub toolarge: u64,
-    /// Deadline expiries (in queue or in flow).
+    /// `unsupported`: needs a capability the server has disabled.
+    pub unsupported: u64,
+    /// `timeout`: deadline expiries (in queue or in flow).
     pub timeouts: u64,
-    /// Requests whose flow panicked (caught; answered `poisoned` or
-    /// degraded).
+    /// `poisoned`: the request's flow panicked (caught).
     pub poisoned: u64,
-    /// Exact cache hits.
+    /// `internal`: unexpected server-side failures.
+    pub internal: u64,
+    /// Exact cache hits (the cache's own [`CacheStats::hits`]).
     pub cache_hits: u64,
     /// ECO-delta replays answered from a cached base.
     pub eco_hits: u64,
     /// Bound-only answers (deepest ladder rung).
     pub bound_only: u64,
+    /// `STATS` queries answered.
+    pub stats_queries: u64,
     /// Current queue depth.
     pub queue_depth: u64,
+    /// Requests a worker is scheduling right now.
+    pub in_flight: u64,
+    /// Open client connections.
+    pub connections: u64,
     /// Schedule-cache counters.
     pub cache: CacheStats,
 }
 
+impl ServeStats {
+    /// Every `ERR` line written, whatever its kind.
+    pub fn rejected(&self) -> u64 {
+        self.shed
+            + self.drain_rejects
+            + self.malformed
+            + self.toolarge
+            + self.unsupported
+            + self.timeouts
+            + self.poisoned
+            + self.internal
+    }
+
+    /// `(key, value)` pairs as the `STATS` reply and the daemon's exit
+    /// log render them.
+    pub fn fields(&self) -> [(&'static str, u64); 19] {
+        [
+            ("serve_requests", self.received),
+            ("serve_admitted", self.admitted),
+            ("serve_completed", self.completed),
+            ("serve_rejected", self.rejected()),
+            ("serve_shed", self.shed),
+            ("serve_drain_rejects", self.drain_rejects),
+            ("serve_malformed", self.malformed),
+            ("serve_toolarge", self.toolarge),
+            ("serve_unsupported", self.unsupported),
+            ("serve_timeouts", self.timeouts),
+            ("serve_poisoned", self.poisoned),
+            ("serve_internal", self.internal),
+            ("serve_bound_only", self.bound_only),
+            ("cache_hits", self.cache_hits),
+            ("eco_hits", self.eco_hits),
+            ("stats_queries", self.stats_queries),
+            ("queue_depth", self.queue_depth),
+            ("in_flight", self.in_flight),
+            ("connections", self.connections),
+        ]
+    }
+}
+
+/// The daemon's serve accounting: each event is counted here once,
+/// whether or not recording is on.
 #[derive(Default)]
-struct Counters {
+struct Ledger {
     received: AtomicU64,
     admitted: AtomicU64,
     completed: AtomicU64,
-    shed: AtomicU64,
-    drain_rejects: AtomicU64,
-    malformed: AtomicU64,
-    toolarge: AtomicU64,
-    timeouts: AtomicU64,
-    poisoned: AtomicU64,
-    cache_hits: AtomicU64,
+    /// `ERR` lines written, indexed by `RejectKind as usize`.
+    rejected: [AtomicU64; RejectKind::ALL.len()],
     eco_hits: AtomicU64,
     bound_only: AtomicU64,
+    stats_queries: AtomicU64,
     queue_depth: AtomicU64,
     in_flight: AtomicU64,
+}
+
+impl Ledger {
+    fn snapshot(&self, connections: usize, cache: CacheStats) -> ServeStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let rejected = |k: RejectKind| get(&self.rejected[k as usize]);
+        ServeStats {
+            received: get(&self.received),
+            admitted: get(&self.admitted),
+            completed: get(&self.completed),
+            shed: rejected(RejectKind::Overloaded),
+            drain_rejects: rejected(RejectKind::Draining),
+            malformed: rejected(RejectKind::Malformed),
+            toolarge: rejected(RejectKind::TooLarge),
+            unsupported: rejected(RejectKind::Unsupported),
+            timeouts: rejected(RejectKind::Timeout),
+            poisoned: rejected(RejectKind::Poisoned),
+            internal: rejected(RejectKind::Internal),
+            cache_hits: cache.hits,
+            eco_hits: get(&self.eco_hits),
+            bound_only: get(&self.bound_only),
+            stats_queries: get(&self.stats_queries),
+            queue_depth: get(&self.queue_depth),
+            in_flight: get(&self.in_flight),
+            connections: connections as u64,
+            cache,
+        }
+    }
 }
 
 const RUNNING: u8 = 0;
@@ -280,7 +356,7 @@ const POLL: Duration = Duration::from_millis(25);
 
 struct Inner {
     state: AtomicU8,
-    stats: Counters,
+    ledger: Ledger,
     conns: AtomicUsize,
     cache: Mutex<ScheduleCache>,
     cfg: ServeConfig,
@@ -291,7 +367,23 @@ impl Inner {
     fn state(&self) -> u8 {
         self.state.load(Ordering::Acquire)
     }
+
+    fn stats(&self) -> ServeStats {
+        let cache = unpoisoned(self.cache.lock()).stats();
+        self.ledger.snapshot(self.conns.load(Ordering::Acquire), cache)
+    }
+
+    /// Writes an `ERR` line and counts it under its wire kind: the one
+    /// place a rejection is accounted.
+    fn reject(&self, w: &Writer, id: u64, kind: RejectKind, msg: impl Into<String>, trace: u64) {
+        self.ledger.rejected[kind as usize].fetch_add(1, Ordering::Relaxed);
+        let msg = msg.into();
+        send_line(w, &Response::Rejected(Rejected { id, kind, msg, trace }));
+    }
 }
+
+/// The shared write half of one client connection.
+type Writer = Arc<Mutex<Stream>>;
 
 /// One admitted unit of work.
 struct Job {
@@ -350,7 +442,7 @@ impl Server {
         };
         let inner = Arc::new(Inner {
             state: AtomicU8::new(RUNNING),
-            stats: Counters::default(),
+            ledger: Ledger::default(),
             conns: AtomicUsize::new(0),
             cache: Mutex::new(ScheduleCache::new(cfg.cache_capacity, limits.max_ops)),
             cfg: cfg.clone(),
@@ -410,29 +502,13 @@ impl Server {
     /// Number of admitted-but-unanswered requests (queued or in
     /// flight).
     pub fn pending(&self) -> u64 {
-        let s = &self.inner.stats;
-        s.queue_depth.load(Ordering::Acquire) + s.in_flight.load(Ordering::Acquire)
+        let l = &self.inner.ledger;
+        l.queue_depth.load(Ordering::Acquire) + l.in_flight.load(Ordering::Acquire)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.inner.stats;
-        ServeStats {
-            received: s.received.load(Ordering::Relaxed),
-            admitted: s.admitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            drain_rejects: s.drain_rejects.load(Ordering::Relaxed),
-            malformed: s.malformed.load(Ordering::Relaxed),
-            toolarge: s.toolarge.load(Ordering::Relaxed),
-            timeouts: s.timeouts.load(Ordering::Relaxed),
-            poisoned: s.poisoned.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            eco_hits: s.eco_hits.load(Ordering::Relaxed),
-            bound_only: s.bound_only.load(Ordering::Relaxed),
-            queue_depth: s.queue_depth.load(Ordering::Relaxed),
-            cache: unpoisoned(self.inner.cache.lock()).stats(),
-        }
+        self.inner.stats()
     }
 
     /// Drains, waits for in-flight work (bounded by `grace`), stops
@@ -479,7 +555,7 @@ impl Drop for Server {
     }
 }
 
-fn send_line(writer: &Arc<Mutex<Stream>>, resp: &Response) {
+fn send_line(writer: &Writer, resp: &Response) {
     let line = protocol::format_response(resp);
     let mut w = unpoisoned(writer.lock());
     // A vanished client is its own problem; the daemon must not be.
@@ -493,48 +569,30 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener, tx: &SyncSender<Job>) {
         }
         match listener.accept() {
             Ok(stream) => {
-                let refuse = |kind: RejectKind, msg: &str| {
-                    let resp = Response::Rejected(Rejected {
-                        id: 0,
-                        kind,
-                        msg: msg.to_string(),
-                        trace: 0,
-                    });
-                    if let Ok(clone) = stream.try_clone() {
-                        send_line(&Arc::new(Mutex::new(clone)), &resp);
-                    }
+                let Ok(writer) = stream.try_clone().map(|w| Arc::new(Mutex::new(w))) else {
+                    continue;
                 };
+                let cap = inner.cfg.max_connections;
+                let full = || format!("connection table full (capacity {cap})");
                 if inner.state() != RUNNING {
-                    inner.stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
-                    refuse(RejectKind::Draining, "server is draining");
+                    inner.reject(&writer, 0, RejectKind::Draining, "server is draining", 0);
                     continue;
                 }
-                if inner.conns.load(Ordering::Acquire) >= inner.cfg.max_connections {
-                    inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    refuse(
-                        RejectKind::Overloaded,
-                        &format!(
-                            "connection table full (capacity {})",
-                            inner.cfg.max_connections
-                        ),
-                    );
+                if inner.conns.load(Ordering::Acquire) >= cap {
+                    inner.reject(&writer, 0, RejectKind::Overloaded, full(), 0);
                     continue;
                 }
                 inner.conns.fetch_add(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(Connections, 1);
-                let inner2 = Arc::clone(inner);
-                let tx2 = tx.clone();
+                let (inner2, tx2, writer2) = (Arc::clone(inner), tx.clone(), Arc::clone(&writer));
                 let spawned = std::thread::Builder::new()
                     .name("serve-conn".into())
                     .spawn(move || {
-                        connection_loop(&inner2, stream, &tx2);
+                        connection_loop(&inner2, stream, &writer2, &tx2);
                         inner2.conns.fetch_sub(1, Ordering::AcqRel);
-                        hls_obs::obs_gauge_add!(Connections, -1);
                     });
                 if spawned.is_err() {
                     inner.conns.fetch_sub(1, Ordering::AcqRel);
-                    hls_obs::obs_gauge_add!(Connections, -1);
-                    inner.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    inner.reject(&writer, 0, RejectKind::Overloaded, full(), 0);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
@@ -604,12 +662,8 @@ fn read_exact_bounded(inner: &Inner, r: &mut BufReader<Stream>, n: usize) -> io:
     Ok(buf)
 }
 
-fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
+fn connection_loop(inner: &Arc<Inner>, stream: Stream, writer: &Writer, tx: &SyncSender<Job>) {
     let _ = stream.set_read_timeout(Some(POLL));
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
 
     loop {
@@ -627,22 +681,15 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
         if protocol::is_stats_header(&line) {
             match protocol::parse_stats_header(&line) {
                 Ok(sid) => {
-                    hls_obs::obs_count!(StatsQueries);
-                    let json = hls_obs::export::metrics_json(&hls_obs::metrics::snapshot());
-                    send_line(&writer, &Response::Stats(protocol::StatsReply { id: sid, json }));
+                    // Counted before rendering, so the reply includes
+                    // itself.
+                    inner.ledger.stats_queries.fetch_add(1, Ordering::Relaxed);
+                    let mut snap = hls_obs::metrics::snapshot();
+                    snap.counters.extend(inner.stats().fields());
+                    let json = hls_obs::export::metrics_json(&snap);
+                    send_line(writer, &Response::Stats(protocol::StatsReply { id: sid, json }));
                 }
-                Err(e) => {
-                    inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    send_line(
-                        &writer,
-                        &Response::Rejected(Rejected {
-                            id: 0,
-                            kind: RejectKind::Malformed,
-                            msg: e.to_string(),
-                            trace: 0,
-                        }),
-                    );
-                }
+                Err(e) => inner.reject(writer, 0, RejectKind::Malformed, e.to_string(), 0),
             }
             continue;
         }
@@ -652,21 +699,11 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
                 // The body length is unknown for an unparsable
                 // header, so re-framing is impossible: answer and
                 // close.
-                inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                send_line(
-                    &writer,
-                    &Response::Rejected(Rejected {
-                        id: 0,
-                        kind: RejectKind::Malformed,
-                        msg: e.to_string(),
-                        trace: 0,
-                    }),
-                );
+                inner.reject(writer, 0, RejectKind::Malformed, e.to_string(), 0);
                 return;
             }
         };
-        inner.stats.received.fetch_add(1, Ordering::Relaxed);
-        hls_obs::obs_count!(ServeRequests);
+        inner.ledger.received.fetch_add(1, Ordering::Relaxed);
         // The trace id is minted at admission so every response for
         // this request — including rejections — carries it.
         let trace = hls_obs::next_trace_id();
@@ -676,49 +713,24 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             // oversized declaration never occupies memory. The
             // connection closes because the unread body cannot be
             // skipped within bounded work.
-            inner.stats.toolarge.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &writer,
-                &Response::Rejected(Rejected {
-                    id: req.id,
-                    kind: RejectKind::TooLarge,
-                    msg: format!(
-                        "declared body of {} bytes exceeds limit {}",
-                        req.bytes, inner.cfg.max_request_bytes
-                    ),
-                    trace,
-                }),
+            let msg = format!(
+                "declared body of {} bytes exceeds limit {}",
+                req.bytes, inner.cfg.max_request_bytes
             );
+            inner.reject(writer, req.id, RejectKind::TooLarge, msg, trace);
             return;
         }
         let body = match read_exact_bounded(inner, &mut reader, req.bytes) {
             Ok(b) => b,
             Err(e) => {
-                inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                send_line(
-                    &writer,
-                    &Response::Rejected(Rejected {
-                        id: req.id,
-                        kind: RejectKind::Malformed,
-                        msg: format!("truncated body: {e}"),
-                        trace,
-                    }),
-                );
+                let msg = format!("truncated body: {e}");
+                inner.reject(writer, req.id, RejectKind::Malformed, msg, trace);
                 return;
             }
         };
 
         if inner.state() != RUNNING {
-            inner.stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
-            send_line(
-                &writer,
-                &Response::Rejected(Rejected {
-                    id: req.id,
-                    kind: RejectKind::Draining,
-                    msg: "server is draining".into(),
-                    trace,
-                }),
-            );
+            inner.reject(writer, req.id, RejectKind::Draining, "server is draining", trace);
             continue;
         }
 
@@ -732,50 +744,28 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             text: String::from_utf8_lossy(&body).into_owned(),
             enqueued: Instant::now(),
             trace,
-            writer: Arc::clone(&writer),
+            writer: Arc::clone(writer),
         };
         let id = job.req.id;
         // Inflate the depth *before* the send: a worker may dequeue
         // the job before this thread runs again, and its decrement
         // must never observe the counter at zero.
-        inner.stats.queue_depth.fetch_add(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(QueueDepth, 1);
-        match tx.try_send(job) {
+        inner.ledger.queue_depth.fetch_add(1, Ordering::AcqRel);
+        let (kind, msg) = match tx.try_send(job) {
             Ok(()) => {
-                inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
+                inner.ledger.admitted.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
-            Err(TrySendError::Full(job)) => {
-                inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(QueueDepth, -1);
-                inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                send_line(
-                    &job.writer,
-                    &Response::Rejected(Rejected {
-                        id,
-                        kind: RejectKind::Overloaded,
-                        msg: format!(
-                            "admission queue full (capacity {})",
-                            inner.cfg.queue_capacity
-                        ),
-                        trace,
-                    }),
-                );
+            Err(TrySendError::Full(_)) => (
+                RejectKind::Overloaded,
+                format!("admission queue full (capacity {})", inner.cfg.queue_capacity),
+            ),
+            Err(TrySendError::Disconnected(_)) => {
+                (RejectKind::Draining, "server is shutting down".into())
             }
-            Err(TrySendError::Disconnected(job)) => {
-                inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(QueueDepth, -1);
-                inner.stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
-                send_line(
-                    &job.writer,
-                    &Response::Rejected(Rejected {
-                        id,
-                        kind: RejectKind::Draining,
-                        msg: "server is shutting down".into(),
-                        trace,
-                    }),
-                );
-            }
-        }
+        };
+        inner.ledger.queue_depth.fetch_sub(1, Ordering::AcqRel);
+        inner.reject(writer, id, kind, msg, trace);
     }
 }
 
@@ -797,15 +787,12 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
             }
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        inner.stats.in_flight.fetch_add(1, Ordering::AcqRel);
-        inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(InFlight, 1);
-        hls_obs::obs_gauge_add!(QueueDepth, -1);
+        inner.ledger.in_flight.fetch_add(1, Ordering::AcqRel);
+        inner.ledger.queue_depth.fetch_sub(1, Ordering::AcqRel);
         hls_obs::obs_hist!(ServeQueueWaitUs, job.enqueued.elapsed().as_micros() as u64);
 
         let id = job.req.id;
         let trace = job.trace;
-        let writer = Arc::clone(&job.writer);
         // The service span carries the trace id as its argument, so a
         // Chrome timeline row can be joined against the `trace=` token
         // the client saw on its OK/ERR line.
@@ -816,42 +803,27 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
             let _scope = RunScope::enter(&format!("serve:req{id}"));
             handle(inner, &job)
         }));
-        let mut resp = outcome.unwrap_or_else(|payload| {
+        let answer = outcome.unwrap_or_else(|payload| {
             let msg = hls_ir::panic_message(payload.as_ref());
-            hls_obs::obs_count!(ServePanics);
             hls_obs::obs_error!("serve", "request {id} (trace {trace:016x}) panicked: {msg}");
             // Post-mortem before the evidence scrolls away: the flight
             // recorder freezes the ring and counters as of the panic.
             hls_obs::flight::dump(&format!("serve request {id} panicked: {msg}"));
-            Response::Rejected(Rejected {
+            Err(Rejected {
                 id,
                 kind: RejectKind::Poisoned,
                 msg,
                 trace: 0,
             })
         });
-        resp.set_trace(trace);
-        match &resp {
-            Response::Accepted(_) => {
-                inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                hls_obs::obs_count!(ServeCompleted);
+        match answer {
+            Ok(a) => {
+                inner.ledger.completed.fetch_add(1, Ordering::Relaxed);
+                send_line(&job.writer, &Response::Accepted(Accepted { trace, ..a }));
             }
-            Response::Rejected(r) => {
-                let c = match r.kind {
-                    RejectKind::Timeout => &inner.stats.timeouts,
-                    RejectKind::Poisoned => &inner.stats.poisoned,
-                    RejectKind::Malformed | RejectKind::Unsupported => &inner.stats.malformed,
-                    RejectKind::TooLarge => &inner.stats.toolarge,
-                    _ => &inner.stats.drain_rejects,
-                };
-                c.fetch_add(1, Ordering::Relaxed);
-                hls_obs::obs_count!(ServeRejected);
-            }
-            Response::Stats(_) => {}
+            Err(r) => inner.reject(&job.writer, r.id, r.kind, r.msg, trace),
         }
-        send_line(&writer, &resp);
-        inner.stats.in_flight.fetch_sub(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(InFlight, -1);
+        inner.ledger.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -876,13 +848,13 @@ fn map_flow_error(id: u64, e: &FlowError) -> Rejected {
 
 /// Schedules one admitted request. Runs inside the worker's unwind
 /// boundary and fault-injection scope.
-fn handle(inner: &Inner, job: &Job) -> Response {
+fn handle(inner: &Inner, job: &Job) -> Result<Accepted, Rejected> {
     let started = Instant::now();
     let id = job.req.id;
     let draining = inner.state() != RUNNING;
 
     if faultinject::now() >= job.deadline {
-        return Response::Rejected(Rejected {
+        return Err(Rejected {
             id,
             kind: RejectKind::Timeout,
             msg: "deadline expired while queued".into(),
@@ -893,7 +865,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
     let graph = match textfmt::from_text_limited(&job.text, &inner.limits) {
         Ok(g) => g,
         Err(e) => {
-            return Response::Rejected(Rejected {
+            return Err(Rejected {
                 id,
                 kind: RejectKind::Malformed,
                 msg: e.to_string(),
@@ -907,9 +879,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
     // because the flow configuration is fixed per server instance.
     if !job.req.nocache {
         if let Some(a) = unpoisoned(inner.cache.lock()).lookup(hash, &graph) {
-            inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            hls_obs::obs_count!(CacheHits);
-            return Response::Accepted(Accepted {
+            return Ok(Accepted {
                 id,
                 rung: a.rung,
                 states: Some(a.states),
@@ -943,7 +913,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
         if let Some(eco_base) = eco_base {
             match eco_flow(eco_base, &graph, &inner.cfg.flow, &budget) {
                 Ok((out, next_base)) => {
-                    inner.stats.eco_hits.fetch_add(1, Ordering::Relaxed);
+                    inner.ledger.eco_hits.fetch_add(1, Ordering::Relaxed);
                     let lb = out.scheduler.schedule_lower_bound();
                     let states = out.report.final_states;
                     if !job.req.nocache {
@@ -958,7 +928,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
                             },
                         );
                     }
-                    return Response::Accepted(Accepted {
+                    return Ok(Accepted {
                         id,
                         rung: "eco".into(),
                         states: Some(states),
@@ -970,7 +940,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
                     });
                 }
                 Err(FlowError::Timeout) => {
-                    return Response::Rejected(map_flow_error(id, &FlowError::Timeout))
+                    return Err(map_flow_error(id, &FlowError::Timeout))
                 }
                 // Any other graft failure falls through to the cold
                 // path: the request is still answerable from scratch.
@@ -988,7 +958,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
             let rung = out.rung.name().to_string();
             let states = out.outcome.as_ref().map(|o| o.report.final_states);
             if out.outcome.is_none() {
-                inner.stats.bound_only.fetch_add(1, Ordering::Relaxed);
+                inner.ledger.bound_only.fetch_add(1, Ordering::Relaxed);
             }
             if let (Some(o), false, false) = (&out.outcome, job.req.nocache, draining) {
                 let eco_base = EcoBase::of_outcome(graph.len(), o);
@@ -1003,7 +973,7 @@ fn handle(inner: &Inner, job: &Job) -> Response {
                     },
                 );
             }
-            Response::Accepted(Accepted {
+            Ok(Accepted {
                 id,
                 rung,
                 states,
@@ -1014,6 +984,33 @@ fn handle(inner: &Inner, job: &Job) -> Response {
                 trace: 0,
             })
         }
-        Err(e) => Response::Rejected(map_flow_error(id, &e)),
+        Err(e) => Err(map_flow_error(id, &e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_reject_kind_raises_exactly_one_field_by_one() {
+        let mut seen = Vec::new();
+        for kind in RejectKind::ALL {
+            let ledger = Ledger::default();
+            ledger.rejected[kind as usize].fetch_add(1, Ordering::Relaxed);
+            let stats = ledger.snapshot(0, CacheStats::default());
+            assert_eq!(stats.rejected(), 1, "{kind:?}");
+            let raised: Vec<_> = stats
+                .fields()
+                .into_iter()
+                .filter(|&(key, v)| v != 0 && key != "serve_rejected")
+                .collect();
+            assert_eq!(raised.len(), 1, "{kind:?} raised {raised:?}");
+            assert_eq!(raised[0].1, 1, "{kind:?} raised {raised:?}");
+            seen.push(raised[0].0);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), RejectKind::ALL.len(), "kinds share a field: {seen:?}");
     }
 }

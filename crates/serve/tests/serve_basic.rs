@@ -41,6 +41,7 @@ fn schedules_a_graph_and_answers_from_the_cache_on_resubmission() {
     let stats = server.shutdown(Duration::from_secs(5));
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.completed, 2);
+    assert_eq!(stats.cache_hits, stats.cache.hits);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The observability plane over a live daemon: `STATS` round-trips
 //! (including while draining), snapshot consistency under concurrent
-//! scheduling load, trace ids on answers, and the crash flight
-//! recorder capturing an injected panic's post-mortem.
+//! scheduling load, agreement of `STATS` with the server's own ledger
+//! whether or not recording is on, trace ids on answers, and the
+//! crash flight recorder capturing an injected panic's post-mortem.
 //!
 //! The recorder and metrics registry are process-global, so every
 //! test here serializes through one mutex and restores the master
@@ -9,9 +10,13 @@
 
 use hls_ir::faultinject::{arm, FaultPlan};
 use hls_ir::{bench_graphs, textfmt};
-use hls_serve::{BindAddr, Client, RequestOpts, ServeConfig, Server};
+use hls_serve::{
+    BindAddr, CacheStatus, Client, ClientError, RejectKind, RequestOpts, ServeConfig, Server,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -154,6 +159,81 @@ fn stats_snapshots_stay_consistent_under_concurrent_load() {
         answered,
         "every request resolved exactly once"
     );
+    server.shutdown(Duration::from_secs(10));
+}
+
+/// Sends one raw line on a fresh TCP connection and returns the
+/// daemon's one-line answer.
+fn raw_exchange(addr: &BindAddr, line: &str) -> String {
+    let BindAddr::Tcp(a) = addr else {
+        panic!("raw exchange needs a TCP address, got {addr}")
+    };
+    let mut s = TcpStream::connect(a.as_str()).expect("connect");
+    s.write_all(line.as_bytes()).expect("write");
+    let mut reply = String::new();
+    BufReader::new(s).read_line(&mut reply).expect("read");
+    reply
+}
+
+#[test]
+fn stats_agrees_with_the_server_ledger_with_recording_off() {
+    let _s = serial();
+    hls_obs::set_enabled(false);
+    let server = start(ServeConfig {
+        max_request_bytes: 4096,
+        ..ServeConfig::default()
+    });
+    let ewf = textfmt::to_text(&bench_graphs::ewf());
+
+    // Recording off: a cold answer, then its cache hit.
+    let mut a = Client::connect(server.addr()).expect("connect");
+    let cold = a.schedule(&ewf, &RequestOpts::default()).expect("cold");
+    assert_eq!(cold.cache, CacheStatus::Miss);
+    let hit = a.schedule(&ewf, &RequestOpts::default()).expect("hit");
+    assert_eq!(hit.cache, CacheStatus::Hit);
+    drop(a);
+
+    // Recording on for exactly one connection: an uncached answer.
+    {
+        let _rec = Recording::start();
+        let mut b = Client::connect(server.addr()).expect("connect");
+        let nocache = RequestOpts {
+            nocache: true,
+            ..RequestOpts::default()
+        };
+        let hal = textfmt::to_text(&bench_graphs::hal());
+        b.schedule(&hal, &nocache).expect("nocache");
+    }
+
+    // Recording off again: an oversized declaration and a malformed
+    // header, each refused on its own connection.
+    let mut c = Client::connect(server.addr()).expect("connect");
+    match c.schedule(&"x".repeat(8192), &RequestOpts::default()) {
+        Err(ClientError::Rejected(r)) => assert_eq!(r.kind, RejectKind::TooLarge),
+        other => panic!("expected a toolarge rejection, got {other:?}"),
+    }
+    drop(c);
+    let reply = raw_exchange(server.addr(), "REQ zorp\n");
+    assert!(reply.starts_with("ERR ") && reply.contains("kind=malformed"), "{reply}");
+
+    // Quiesce: the probe's connection is the only one left open and
+    // nothing is queued or running.
+    let mut probe = Client::connect(server.addr()).expect("connect");
+    let gave_up = Instant::now() + Duration::from_secs(10);
+    while (server.stats().connections, server.pending()) != (1, 0) {
+        assert!(Instant::now() < gave_up, "never quiesced: {:?}", server.stats());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let json = probe.stats().expect("stats");
+    hls_obs::export::validate_json(&json).expect("stats body must be strict JSON");
+    let stats = server.stats();
+    for (key, value) in stats.fields() {
+        assert_eq!(counter(&json, key), value, "STATS `{key}` vs Server::stats(): {json}");
+    }
+    assert_eq!((stats.connections, stats.queue_depth, stats.in_flight), (1, 0, 0));
+    assert_eq!((stats.received, stats.completed, stats.cache_hits), (4, 3, 1));
+    assert_eq!((stats.toolarge, stats.malformed, stats.rejected()), (1, 1, 2));
+    assert_eq!(stats.stats_queries, 1);
     server.shutdown(Duration::from_secs(10));
 }
 
