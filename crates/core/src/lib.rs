@@ -103,10 +103,10 @@ pub enum SchedError {
     /// silently alias two submitted operations onto one scheduled op
     /// (last-write-wins). Rejected up front; the state is untouched.
     Malformed(String),
-    /// An incremental replay was asked to grow the state toward a
+    /// An incremental graft was asked to grow the state toward a
     /// graph that does not extend the current behavior (or carries
-    /// loop edges the acyclic replay cannot honour); see
-    /// [`ThreadedScheduler::refine_replay`].
+    /// loop edges the acyclic graft cannot honour); see
+    /// [`ThreadedScheduler::refine_graft`].
     NotAnExtension,
 }
 

@@ -1038,86 +1038,27 @@ impl ThreadedScheduler {
         Ok(v)
     }
 
-    /// Replays an engineering-change resubmission incrementally: grows
-    /// the scheduled behavior to match `target` — which must
-    /// [`extend`](PrecedenceGraph::extends) the current graph — by
-    /// [`refine_add_op`](Self::refine_add_op)-ing each new operation in
-    /// id order, with its edges attached as both endpoints become
-    /// available. Re-schedules only the added cone instead of the
-    /// whole design from scratch; see
-    /// [`refine_graft`](Self::refine_graft) for the variant that
-    /// tolerates states whose ids have diverged from the submitted
-    /// base (the serve layer's ECO fast path).
-    ///
-    /// The `budget` is checked before every added operation (the wall
-    /// deadline and a step quota counted over *added* ops), so a
-    /// pathological "extension" of ten thousand operations degrades
-    /// into a typed [`SchedError::Timeout`], never an unbounded stall.
-    ///
-    /// Returns the ids of the added operations.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::NotAnExtension`] if `target` does not extend the
-    /// current behavior or carries loop edges (the acyclic replay
-    /// cannot honour inter-iteration semantics);
-    /// [`SchedError::Timeout`] on budget expiry; otherwise the errors
-    /// of [`refine_add_op`](Self::refine_add_op).
-    pub fn refine_replay(
-        &mut self,
-        target: &PrecedenceGraph,
-        budget: &hls_ir::Budget,
-    ) -> Result<Vec<OpId>, SchedError> {
-        if target.has_loop_edges() || !target.extends(&self.core.g) {
-            return Err(SchedError::NotAnExtension);
-        }
-        let mut added = Vec::with_capacity(target.len() - self.core.g.len());
-        for i in self.core.g.len()..target.len() {
-            if budget.expired(added.len() as u64) {
-                return Err(SchedError::Timeout);
-            }
-            let v = OpId::from_index(i);
-            // Edges to ops not yet added are attached later, from the
-            // other endpoint, once it arrives (ids grow monotonically).
-            let existing = self.core.g.len();
-            let preds: Vec<OpId> = target
-                .preds(v)
-                .iter()
-                .copied()
-                .filter(|p| p.index() < existing)
-                .collect();
-            let succs: Vec<OpId> = target
-                .succs(v)
-                .iter()
-                .copied()
-                .filter(|s| s.index() < existing)
-                .collect();
-            let id =
-                self.refine_add_op(target.kind(v), target.delay(v), target.label(v), &preds, &succs)?;
-            debug_assert_eq!(id, v, "replay preserves id order");
-            added.push(id);
-        }
-        Ok(added)
-    }
-
     /// Grafts the ops of `target` beyond `map.len()` onto this state,
     /// translating edge endpoints through `map` (submitted-graph index
-    /// → id in this state). This is
-    /// [`refine_replay`](Self::refine_replay) for states whose
-    /// behavior has *diverged
-    /// in ids* from the submitted base — e.g. a finished flow state
-    /// that appended spill, move and wire-delay operations after the
-    /// base ops. The serve layer's schedule cache uses this as its
-    /// ECO-delta fast path: the delta cone is scheduled incrementally
-    /// onto the cached post-flow state, everything already absorbed
-    /// stays absorbed.
+    /// → id in this state) — the engine's one engineering-change entry.
+    /// Each new op is [`refine_add_op`](Self::refine_add_op)-ed in id
+    /// order, so only the added cone is scheduled, never the whole
+    /// design. The map lets the state's behavior *diverge in ids* from
+    /// the submitted base — e.g. a finished flow state that appended
+    /// spill, move and wire-delay operations after the base ops; a
+    /// state whose ids still line up takes the identity map. The flow's
+    /// ECO path (and through it the serve layer's schedule cache) uses
+    /// this to schedule a delta cone onto a cached post-flow state:
+    /// everything already absorbed stays absorbed.
     ///
     /// The caller asserts that the first `map.len()` ops of `target`
     /// are the base behavior behind `map` (the cache checks
     /// [`PrecedenceGraph::extends`] against the graph as submitted).
     /// `map` is extended in place with the ids of the grafted ops.
-    /// The `budget` is checked before every added op, exactly as in
-    /// replay.
+    /// The `budget` is checked before every added op (the wall
+    /// deadline and a step quota counted over *added* ops), so a
+    /// pathological delta of ten thousand operations degrades into a
+    /// typed [`SchedError::Timeout`], never an unbounded stall.
     ///
     /// # Errors
     ///
@@ -2705,9 +2646,10 @@ mod tests {
     }
 
     #[test]
-    fn refine_replay_matches_scheduling_the_extension_directly() {
+    fn refine_graft_identity_matches_scheduling_the_extension_directly() {
         use hls_ir::Budget;
-        // Schedule a base graph, extend it with a small cone, replay.
+        // Schedule a base graph, extend it with a small cone, graft it
+        // through the identity map.
         let base = hls_ir::bench_graphs::ewf();
         let resources = ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1);
         let order = crate::meta::MetaSchedule::ListBased
@@ -2727,24 +2669,23 @@ mod tests {
         let c3 = target.add_op(OpKind::Mul, 2, "eco3");
         target.add_edge(c3, c2).unwrap();
 
-        let added = ts.refine_replay(&target, &Budget::NONE).unwrap();
+        let identity = |n: usize| -> Vec<OpId> { (0..n).map(OpId::from_index).collect() };
+        let mut map = identity(base.len());
+        let added = ts.refine_graft(&target, &mut map, &Budget::NONE).unwrap();
         assert_eq!(added, vec![c1, c2, c3]);
+        assert_eq!(map, identity(target.len()));
         assert_eq!(ts.graph().len(), target.len());
         assert!(ts.graph().has_edge(c3, c2));
         ts.check_invariants().unwrap();
 
-        // Non-extensions and exhausted budgets are typed errors.
-        let mut other = base.clone();
-        let v0 = other.op_ids().next().unwrap();
-        other.set_delay(v0, 99);
-        let mut ts2 = ThreadedScheduler::new(base.clone(), resources.clone()).unwrap();
+        // The grafted state is a schedule of the extension itself.
+        assert!(ts.graph().extends(&target));
+        hls_ir::schedule::validate(&target, &resources, &ts.extract_hard()).unwrap();
+
+        // An exhausted budget is a typed error.
+        let mut ts3 = ThreadedScheduler::new(base.clone(), resources).unwrap();
         assert!(matches!(
-            ts2.refine_replay(&other, &Budget::NONE),
-            Err(SchedError::NotAnExtension)
-        ));
-        let mut ts3 = ThreadedScheduler::new(base, resources).unwrap();
-        assert!(matches!(
-            ts3.refine_replay(&target, &Budget::steps(1)),
+            ts3.refine_graft(&target, &mut identity(base.len()), &Budget::steps(1)),
             Err(SchedError::Timeout)
         ));
     }
@@ -2754,8 +2695,8 @@ mod tests {
         use hls_ir::Budget;
         // Schedule the base, then mutate the state's behavior the way
         // the flow does (append a refinement op), so target ids no
-        // longer line up with state ids — the case refine_replay
-        // rejects and refine_graft exists for.
+        // longer line up with state ids — the case the graft map
+        // exists for.
         let base = hls_ir::bench_graphs::ewf();
         let resources = ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1);
         let order = crate::meta::MetaSchedule::ListBased
@@ -2773,10 +2714,6 @@ mod tests {
         target.add_edge(sinks[0], c1).unwrap();
         let c2 = target.add_op(OpKind::Mul, 2, "eco2");
         target.add_edge(c1, c2).unwrap();
-        assert!(matches!(
-            ts.clone().refine_replay(&target, &Budget::NONE),
-            Err(SchedError::NotAnExtension)
-        ));
 
         let mut map: Vec<OpId> = (0..base.len()).map(OpId::from_index).collect();
         let before = ts.graph().len();

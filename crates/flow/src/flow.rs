@@ -43,23 +43,6 @@ pub struct FlowConfig {
     /// silently misread inter-iteration dependencies as
     /// same-iteration ones).
     pub pipeline: Option<hls_search::PipelineConfig>,
-    /// When set, the initial soft schedule of a *large* behavior is
-    /// built by the partition-parallel engine
-    /// ([`threaded_sched::ParallelScheduler`]): balanced min-cut
-    /// partition, per-block scheduling on worker threads, seam stitch,
-    /// then materialisation back into a live [`ThreadedScheduler`] so
-    /// every downstream phase (spilling, φ resolution, wire-delay
-    /// absorption, ECO) works unchanged. The seat adopts
-    /// [`FlowConfig::meta`] as its block meta order, and behaviors at
-    /// or below the config's `sequential_cutoff` take the flow's
-    /// ordinary sequential branch (budget included) — small flows are
-    /// bit-identical with or without this seat. Ignored when
-    /// [`FlowConfig::portfolio`] or [`FlowConfig::pipeline`] is set
-    /// (those seats own scheduling), and not threaded through the
-    /// degradation ladder. The flow budget is not enforced inside the
-    /// partitioned run — this seat *is* the fast path for graphs big
-    /// enough to need a budget.
-    pub parallel: Option<threaded_sched::parallel::ParallelConfig>,
     /// Floorplan grid (width, height); must fit `resources.k()` cells.
     pub grid: (usize, usize),
     /// Interconnect delay model.
@@ -85,7 +68,6 @@ impl Default for FlowConfig {
             meta: MetaSchedule::ListBased,
             portfolio: None,
             pipeline: None,
-            parallel: None,
             grid: (2, 2),
             wire_model: WireModel::default(),
             place: PlaceConfig::default(),
@@ -259,12 +241,18 @@ pub fn run_flow_dfg(text: &str, config: &FlowConfig) -> Result<FlowOutcome, Flow
 ///
 /// Any [`FlowError`].
 pub fn run_flow(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_flow_inner(graph, config)))
-        .unwrap_or_else(|payload| {
-            Err(FlowError::Poisoned(hls_ir::panic_message(
-                payload.as_ref(),
-            )))
-        })
+    contained(|| run_flow_inner(graph, config))
+}
+
+/// The flow's one panic boundary ([`run_flow`] and [`eco_flow`]):
+/// anything unwinding out of `f` comes back as
+/// [`FlowError::Poisoned`] with the panic message.
+fn contained<T>(f: impl FnOnce() -> Result<T, FlowError>) -> Result<T, FlowError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(FlowError::Poisoned(hls_ir::panic_message(
+            payload.as_ref(),
+        )))
+    })
 }
 
 /// A finished design an ECO resubmission can extend incrementally:
@@ -304,10 +292,11 @@ impl EcoBase {
 /// cached post-flow state
 /// ([`ThreadedScheduler::refine_graft`](threaded_sched::ThreadedScheduler::refine_graft)),
 /// wire delays are annotated for the *new* edges only against the
-/// cached floorplan, and the design is re-extracted, re-validated and
-/// re-built. Nothing already absorbed — spills, φ rewrites, the
-/// existing wire delays, the placement — is recomputed; that is what
-/// makes resubmission fast.
+/// cached floorplan, and the design goes through the cold flow's own
+/// finishing tail (extract, validate, allocate, build). Nothing
+/// already absorbed — spills, φ rewrites, the existing wire delays,
+/// the placement — is recomputed; that is what makes resubmission
+/// fast.
 ///
 /// Returns the new outcome plus the extended [`EcoBase`] for
 /// re-caching under the resubmitted graph's hash. Like [`run_flow`],
@@ -318,23 +307,17 @@ impl EcoBase {
 /// [`FlowError::Sched`] with
 /// [`SchedError::NotAnExtension`] when the delta cannot ride the
 /// cached state (loop edges, or delta ops of kind `Phi`, which need
-/// the flow's register-aware resolution); [`FlowError::Timeout`] on
-/// budget expiry; otherwise the errors of the finishing phases.
-/// Callers fall back to the cold flow on non-timeout errors.
+/// the flow's register-aware resolution); [`FlowError::Timeout`],
+/// [`FlowError::Poisoned`] and [`FlowError::ResourceExhausted`] exactly
+/// as the engine reports them; otherwise the errors of the finishing
+/// phases. Callers fall back to the cold flow on non-timeout errors.
 pub fn eco_flow(
     base: EcoBase,
     target: &PrecedenceGraph,
     config: &FlowConfig,
     budget: &hls_ir::Budget,
 ) -> Result<(FlowOutcome, EcoBase), FlowError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        eco_flow_inner(base, target, config, budget)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(FlowError::Poisoned(hls_ir::panic_message(
-            payload.as_ref(),
-        )))
-    })
+    contained(|| eco_flow_inner(base, target, config, budget))
 }
 
 fn eco_flow_inner(
@@ -356,12 +339,7 @@ fn eco_flow_inner(
     let mut ts = base.scheduler;
     let initial_states = ts.diameter();
     let before_len = ts.graph().len();
-    let added = ts
-        .refine_graft(target, &mut base.map, budget)
-        .map_err(|e| match e {
-            SchedError::Timeout => FlowError::Timeout,
-            other => FlowError::Sched(other),
-        })?;
+    let added = ts.refine_graft(target, &mut base.map, budget)?;
 
     // Wire delays for the delta only: edges between pre-existing ops
     // already carry theirs (as absorbed delay vertices), so only
@@ -382,51 +360,44 @@ fn eco_flow_inner(
     }
     let wirelength = base.floorplan.wirelength(&matrix);
 
-    // Extract, validate, build — identical to the cold flow's step 6.
-    let schedule = ts.extract_hard();
-    sched_check::validate(ts.graph(), &config.resources, &schedule)
-        .map_err(|e| FlowError::Invalid(e.to_string()))?;
-    let final_states = ts.diameter();
-    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
-        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
-    let registers = left_edge::allocate(&ls);
-    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
-
-    let report = FlowReport {
+    let absorbed = FlowReport {
         pipeline: None,
         initial_states,
         spills: 0,
         phis_to_moves: 0,
         phis_voided: 0,
         wire_delays,
-        final_states,
-        registers: registers.register_count(),
+        final_states: 0,
+        registers: 0,
         wirelength,
         rung: None,
     };
+    let outcome = finish_design(ts, base.floorplan, None, absorbed, config)?;
     let next_base = EcoBase {
-        scheduler: ts.clone(),
+        scheduler: outcome.scheduler.clone(),
         map: base.map,
-        floorplan: base.floorplan.clone(),
-    };
-    let outcome = FlowOutcome {
-        modulo: None,
-        scheduler: ts,
-        schedule,
-        registers,
-        floorplan: base.floorplan,
-        fsmd,
-        report,
+        floorplan: outcome.floorplan.clone(),
     };
     Ok((outcome, next_base))
 }
 
 fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
+    // A loop-carrying behavior without the pipeline seat is rejected
+    // first: the acyclic scheduler would silently misread its
+    // inter-iteration dependencies, and no budget changes that.
+    if config.pipeline.is_none() && graph.has_loop_edges() {
+        return Err(FlowError::NeedsPipeline);
+    }
+    // An already-expired budget cannot afford a single commit, so the
+    // flow answers before building any order or index. An empty
+    // behavior needs no commit and still completes.
+    if !graph.is_empty() && config.budget.expired(0) {
+        return Err(FlowError::Timeout);
+    }
+
     // 0. Loop pipelining: modulo-schedule the kernel (acyclic
     // behaviors are kernels without recurrences), then hand the
-    // one-iteration kernel DAG to the rest of the flow. Without the
-    // pipeline seat, a graph with loop edges fails scheduling
-    // validation below, exactly as before.
+    // one-iteration kernel DAG to the rest of the flow.
     let mut pipeline = None;
     let mut modulo = None;
     let graph = match &config.pipeline {
@@ -444,39 +415,22 @@ fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOut
             modulo = Some(out.schedule);
             graph.kernel_dag()
         }
-        None => {
-            if graph.has_loop_edges() {
-                return Err(FlowError::NeedsPipeline);
-            }
-            graph
-        }
+        None => graph,
     };
 
-    // 1. Soft scheduling — a single meta order, the parallel
-    // portfolio + feedback refinement, or (for large behaviors) the
-    // partition-parallel engine materialised back into a live state.
-    // The meta/portfolio paths honour the flow budget and stop within
-    // one commit of expiry; the partitioned path is the fast path and
-    // runs unbudgeted (see [`FlowConfig::parallel`]).
+    // 1. Soft scheduling — a single meta order, or the parallel
+    // portfolio + feedback refinement. Both honour the flow budget and
+    // stop within one commit of expiry.
     let _sched_span = hls_obs::obs_span!(FlowSchedule, "", graph.len() as u64);
-    let ts = match (&config.portfolio, &config.parallel) {
-        (Some(pcfg), _) => {
+    let ts = match &config.portfolio {
+        Some(pcfg) => {
             let pcfg = hls_search::PortfolioConfig {
                 budget: pcfg.budget.tighter(&config.budget),
                 ..pcfg.clone()
             };
             hls_search::run_portfolio(&graph, &config.resources, &pcfg)?.winner
         }
-        (None, Some(par)) if pipeline.is_none() && graph.len() > par.sequential_cutoff => {
-            // The seat adopts the flow's meta order so the
-            // below-cutoff path is bit-identical to the plain flow.
-            let par = threaded_sched::ParallelConfig { meta: config.meta, ..par.clone() };
-            let ps =
-                threaded_sched::ParallelScheduler::new(graph, config.resources.clone(), par)?;
-            let run = ps.run()?;
-            ps.materialize(&run)?
-        }
-        _ => {
+        None => {
             let order = config.meta.order(&graph, &config.resources)?;
             let mut ts = ThreadedScheduler::new(graph, config.resources.clone())?;
             match ts.schedule_all_budgeted(order, &config.budget, |_| false)? {
@@ -491,10 +445,11 @@ fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOut
     finish_flow(ts, pipeline, modulo, config)
 }
 
-/// The post-scheduling phases (spilling, φ resolution, placement,
-/// extraction, FSMD) — shared by [`run_flow`] and the degradation
-/// ladder, which swaps only the scheduling rung.
-pub(crate) fn finish_flow(
+/// The cold flow's post-scheduling phases (spilling, φ resolution,
+/// placement and wire-delay absorption), then the shared
+/// [`finish_design`] tail. Every ladder rung reaches this through
+/// [`run_flow`].
+fn finish_flow(
     mut ts: ThreadedScheduler,
     pipeline: Option<PipelineReport>,
     modulo: Option<hls_ir::ModuloSchedule>,
@@ -588,28 +543,44 @@ pub(crate) fn finish_flow(
 
     drop(place_span);
 
-    // 6. Extract, validate, build the FSMD.
-    let _extract_span = hls_obs::obs_span!(FlowExtract);
-    let schedule = ts.extract_hard();
-    sched_check::validate(ts.graph(), &config.resources, &schedule)
-        .map_err(|e| FlowError::Invalid(e.to_string()))?;
-    let final_states = ts.diameter();
-    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
-        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
-    let registers = left_edge::allocate(&ls);
-    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
-
-    let report = FlowReport {
+    let absorbed = FlowReport {
         pipeline,
         initial_states,
         spills,
         phis_to_moves,
         phis_voided,
         wire_delays,
-        final_states,
-        registers: registers.register_count(),
+        final_states: 0,
+        registers: 0,
         wirelength,
         rung: None,
+    };
+    finish_design(ts, floorplan, modulo, absorbed, config)
+}
+
+/// Step 6, the one finishing tail of the cold flow and the ECO delta:
+/// extract the hard schedule, validate it, allocate registers and
+/// build the FSMD. `report` carries what the caller absorbed; this
+/// fills in `final_states` and `registers`.
+fn finish_design(
+    ts: ThreadedScheduler,
+    floorplan: Floorplan,
+    modulo: Option<hls_ir::ModuloSchedule>,
+    report: FlowReport,
+    config: &FlowConfig,
+) -> Result<FlowOutcome, FlowError> {
+    let _extract_span = hls_obs::obs_span!(FlowExtract);
+    let schedule = ts.extract_hard();
+    sched_check::validate(ts.graph(), &config.resources, &schedule)
+        .map_err(|e| FlowError::Invalid(e.to_string()))?;
+    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
+        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
+    let registers = left_edge::allocate(&ls);
+    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
+    let report = FlowReport {
+        final_states: ts.diameter(),
+        registers: registers.register_count(),
+        ..report
     };
     Ok(FlowOutcome {
         modulo,
@@ -659,82 +630,6 @@ mod tests {
         assert!(out.report.spills > 0, "budget 1 must force spilling");
         // The spilled design still validates and fits the budget.
         assert!(out.report.registers <= 3, "pressure must drop near budget");
-    }
-
-    #[test]
-    fn parallel_seat_is_identical_below_cutoff_and_valid_when_forced() {
-        // Below the cutoff the parallel seat takes the sequential path
-        // inside the parallel engine: the flow is bit-identical.
-        let seq = run_flow(bench_graphs::ewf(), &FlowConfig::default()).unwrap();
-        let cfg = FlowConfig {
-            parallel: Some(threaded_sched::ParallelConfig::default()),
-            ..FlowConfig::default()
-        };
-        let par = run_flow(bench_graphs::ewf(), &cfg).unwrap();
-        assert_eq!(par.report, seq.report);
-
-        // Forcing the partition path still yields a flow-worthy state:
-        // every downstream phase ran and the outcome validates.
-        let forced = FlowConfig {
-            parallel: Some(threaded_sched::ParallelConfig {
-                parts: 4,
-                sequential_cutoff: 0,
-                ..threaded_sched::ParallelConfig::default()
-            }),
-            ..FlowConfig::default()
-        };
-        let out = run_flow(bench_graphs::ewf(), &forced).unwrap();
-        out.scheduler.check_invariants().unwrap();
-        sched_check::validate(out.scheduler.graph(), &forced.resources, &out.schedule).unwrap();
-        assert!(out.report.final_states >= out.report.initial_states);
-    }
-
-    /// The parallel-seat dispatch at *exactly* `sequential_cutoff`
-    /// (ISSUE 9 satellite): the seat engages only for `len > cutoff`,
-    /// so behaviors of `cutoff - 1` and exactly `cutoff` ops must be
-    /// bit-identical to the plain flow — full report and hard
-    /// schedule — while `cutoff + 1` partitions and still validates.
-    /// (The 8191/8192/8193 sizes against the default 8192 cutoff are
-    /// pinned engine-level in `threaded-sched`'s `parallel_golden`
-    /// suite; the flow-level dispatch is cutoff-relative, tested here
-    /// at a CI-sized cutoff.)
-    #[test]
-    fn parallel_seat_dispatch_at_exact_cutoff() {
-        let cutoff = 60usize;
-        for ops in [cutoff - 1, cutoff, cutoff + 1] {
-            let g = hls_ir::generate::layered_dag(
-                0x8192 ^ ops as u64,
-                &hls_ir::generate::LayeredConfig { ops, ..Default::default() },
-            );
-            let seq = run_flow(g.clone(), &FlowConfig::default()).unwrap();
-            let cfg = FlowConfig {
-                parallel: Some(threaded_sched::ParallelConfig {
-                    sequential_cutoff: cutoff,
-                    ..threaded_sched::ParallelConfig::default()
-                }),
-                ..FlowConfig::default()
-            };
-            let par = run_flow(g, &cfg).unwrap();
-            par.scheduler.check_invariants().unwrap();
-            sched_check::validate(par.scheduler.graph(), &cfg.resources, &par.schedule)
-                .unwrap();
-            if ops <= cutoff {
-                assert_eq!(par.report, seq.report, "{ops} ops: report diverged at the cutoff");
-                for v in par.scheduler.graph().op_ids() {
-                    assert_eq!(
-                        par.schedule.start(v),
-                        seq.schedule.start(v),
-                        "{ops} ops: start of {v}"
-                    );
-                    assert_eq!(par.schedule.unit(v), seq.schedule.unit(v), "{ops} ops: unit of {v}");
-                }
-            } else {
-                assert!(
-                    par.report.final_states >= par.report.initial_states,
-                    "{ops} ops: partitioned flow must still complete"
-                );
-            }
-        }
     }
 
     #[test]

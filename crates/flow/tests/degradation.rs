@@ -7,8 +7,9 @@
 //! clocks are the only nondeterministic input, and a step quota
 //! removes them.
 
-use hls_flow::{run_flow_degraded, DegradeReason, DegradeRung, FlowConfig};
-use hls_ir::{bench_graphs, Budget};
+use hls_flow::{run_flow, run_flow_degraded, DegradeReason, DegradeRung, FlowConfig, FlowReport};
+use hls_ir::{bench_graphs, generate, Budget};
+use std::time::{Duration, Instant};
 
 /// Everything observable about a degraded run, for equality.
 #[derive(Debug, PartialEq, Eq)]
@@ -83,4 +84,51 @@ fn the_quota_sweep_actually_covers_multiple_rungs() {
     assert_eq!(rungs[0], DegradeRung::BoundOnly);
     assert_eq!(rungs[2], DegradeRung::Portfolio);
     assert_ne!(rungs[1], DegradeRung::BoundOnly, "mid budget affords a schedule");
+}
+
+#[test]
+fn a_spent_budget_answers_bound_only_without_building_orders() {
+    // Every schedule-producing rung must time out before it builds a
+    // meta order or an index; only the bound-only rung pays for one
+    // index build. Building the orders alone takes seconds on this
+    // graph in a debug build.
+    let n = 5_000;
+    let g = generate::stress_dag(7 ^ n as u64, n);
+    let cfg = FlowConfig {
+        budget: Budget::steps(0),
+        ..FlowConfig::default()
+    };
+    let started = Instant::now();
+    let out = run_flow_degraded(&g, &cfg).expect("the ladder always answers");
+    let wall = started.elapsed();
+    assert_eq!(out.rung, DegradeRung::BoundOnly);
+    assert!(out.outcome.is_none());
+    assert!(out.lower_bound > 0);
+    let reasons: Vec<_> = out.degraded.iter().map(|s| &s.reason).collect();
+    assert_eq!(reasons, [&DegradeReason::Timeout; 3]);
+    assert!(
+        wall < Duration::from_millis(1500),
+        "a spent budget took {wall:?} to answer bound-only"
+    );
+}
+
+#[test]
+fn the_ladder_and_the_cold_flow_share_one_pipeline() {
+    // Under an unlimited budget the portfolio rung answers, and its
+    // design is exactly what the cold flow makes with that rung's
+    // config: the ladder swaps only the scheduling strategy.
+    let portfolio_rung = FlowConfig {
+        portfolio: Some(hls_search::PortfolioConfig::default()),
+        ..FlowConfig::default()
+    };
+    for g in [bench_graphs::ewf(), generate::stress_dag(7 ^ 300, 300)] {
+        let ladder = run_flow_degraded(&g, &FlowConfig::default()).unwrap();
+        assert_eq!(ladder.rung, DegradeRung::Portfolio);
+        let ladder = ladder.outcome.expect("the portfolio rung answers");
+        let cold = run_flow(g, &portfolio_rung).unwrap();
+        assert_eq!(ladder.report.rung, Some("portfolio"));
+        assert_eq!(FlowReport { rung: None, ..ladder.report }, cold.report);
+        assert_eq!(ladder.schedule, cold.schedule);
+        assert_eq!(ladder.registers.register_count(), cold.registers.register_count());
+    }
 }

@@ -32,8 +32,9 @@ pub struct Compiled {
     pub inputs: Vec<String>,
     /// `(name, value)` for every declared output.
     pub outputs: Vec<(String, Value)>,
-    /// All φ operations inserted at joins (candidates for
-    /// `threaded_sched::refine::resolve_phi_to_move`).
+    /// All φ operations inserted at joins. The flow resolves each after
+    /// register allocation, retyping it in place to a `Move` or a `Nop`
+    /// (`threaded_sched::ThreadedScheduler::retype_op`).
     pub phis: Vec<OpId>,
 }
 

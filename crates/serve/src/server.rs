@@ -908,84 +908,67 @@ fn handle(inner: &Inner, job: &Job) -> Result<Accepted, Rejected> {
     // graft only the delta onto the cached post-flow state through
     // the incremental engine. Nothing already absorbed (spills, wire
     // delays, placement) is recomputed.
-    if let (Some(base), false, false) = (job.req.base, draining, graph.has_loop_edges()) {
-        let eco_base = unpoisoned(inner.cache.lock()).base_for_eco(base, &graph);
-        if let Some(eco_base) = eco_base {
-            match eco_flow(eco_base, &graph, &inner.cfg.flow, &budget) {
-                Ok((out, next_base)) => {
-                    inner.ledger.eco_hits.fetch_add(1, Ordering::Relaxed);
-                    let lb = out.scheduler.schedule_lower_bound();
-                    let states = out.report.final_states;
-                    if !job.req.nocache {
-                        unpoisoned(inner.cache.lock()).insert(
-                            hash,
-                            graph,
-                            next_base,
-                            CachedAnswer {
-                                rung: "eco".into(),
-                                states,
-                                lower_bound: lb,
-                            },
-                        );
-                    }
-                    return Ok(Accepted {
-                        id,
-                        rung: "eco".into(),
-                        states: Some(states),
-                        lower_bound: lb,
-                        cache: CacheStatus::Eco,
-                        degraded: 0,
-                        micros: started.elapsed().as_micros() as u64,
-                        trace: 0,
-                    });
-                }
-                Err(FlowError::Timeout) => {
-                    return Err(map_flow_error(id, &FlowError::Timeout))
-                }
-                // Any other graft failure falls through to the cold
-                // path: the request is still answerable from scratch.
-                Err(_) => {}
-            }
-        }
-    }
-
-    let cfg = FlowConfig {
-        budget: inner.cfg.flow.budget.tighter(&budget),
-        ..inner.cfg.flow.clone()
+    let eco_base = match (job.req.base, draining, graph.has_loop_edges()) {
+        (Some(base), false, false) => unpoisoned(inner.cache.lock()).base_for_eco(base, &graph),
+        _ => None,
     };
-    match run_flow_degraded(&graph, &cfg) {
-        Ok(out) => {
-            let rung = out.rung.name().to_string();
-            let states = out.outcome.as_ref().map(|o| o.report.final_states);
+    let eco = match eco_base.map(|b| eco_flow(b, &graph, &inner.cfg.flow, &budget)) {
+        Some(Ok(done)) => Some(done),
+        Some(Err(FlowError::Timeout)) => return Err(map_flow_error(id, &FlowError::Timeout)),
+        // Any other graft failure falls through to the cold path: the
+        // request is still answerable from scratch.
+        Some(Err(_)) | None => None,
+    };
+
+    // Both paths settle on one answer: the rung, the certified bound,
+    // the final states unless only the bound came back, and the base
+    // to cache for exact hits and deltas when the request allows it.
+    let cacheable = !job.req.nocache && !draining;
+    let (rung, lower_bound, states, base, cache, degraded) = match eco {
+        Some((out, next_base)) => {
+            inner.ledger.eco_hits.fetch_add(1, Ordering::Relaxed);
+            let lb = out.scheduler.schedule_lower_bound();
+            let states = Some(out.report.final_states);
+            let base = cacheable.then_some(next_base);
+            ("eco".to_string(), lb, states, base, CacheStatus::Eco, 0)
+        }
+        None => {
+            let cfg = FlowConfig {
+                budget: inner.cfg.flow.budget.tighter(&budget),
+                ..inner.cfg.flow.clone()
+            };
+            let out = run_flow_degraded(&graph, &cfg).map_err(|e| map_flow_error(id, &e))?;
             if out.outcome.is_none() {
                 inner.ledger.bound_only.fetch_add(1, Ordering::Relaxed);
             }
-            if let (Some(o), false, false) = (&out.outcome, job.req.nocache, draining) {
-                let eco_base = EcoBase::of_outcome(graph.len(), o);
-                unpoisoned(inner.cache.lock()).insert(
-                    hash,
-                    graph,
-                    eco_base,
-                    CachedAnswer {
-                        rung: rung.clone(),
-                        states: o.report.final_states,
-                        lower_bound: out.lower_bound,
-                    },
-                );
-            }
-            Ok(Accepted {
-                id,
-                rung,
-                states,
-                lower_bound: out.lower_bound,
-                cache: CacheStatus::Miss,
-                degraded: out.degraded.len(),
-                micros: started.elapsed().as_micros() as u64,
-                trace: 0,
-            })
+            let states = out.outcome.as_ref().map(|o| o.report.final_states);
+            // The base clones the outcome's scheduler rather than
+            // taking it: the clone drops the growth slack its per-node
+            // tables gathered while absorbing wire delays, and the
+            // cache holds it for many requests.
+            let base = out
+                .outcome
+                .as_ref()
+                .filter(|_| cacheable)
+                .map(|o| EcoBase::of_outcome(graph.len(), o));
+            let rung = out.rung.name().to_string();
+            (rung, out.lower_bound, states, base, CacheStatus::Miss, out.degraded.len())
         }
-        Err(e) => Err(map_flow_error(id, &e)),
+    };
+    if let (Some(base), Some(states)) = (base, states) {
+        let answer = CachedAnswer { rung: rung.clone(), states, lower_bound };
+        unpoisoned(inner.cache.lock()).insert(hash, graph, base, answer);
     }
+    Ok(Accepted {
+        id,
+        rung,
+        states,
+        lower_bound,
+        cache,
+        degraded,
+        micros: started.elapsed().as_micros() as u64,
+        trace: 0,
+    })
 }
 
 #[cfg(test)]
